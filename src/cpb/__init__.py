@@ -25,7 +25,7 @@ from .core import (
     shift_operator,
     validate_rates,
 )
-from .continuous import ContinuousModel, PathSample
+from .continuous import ContinuousModel, PathSample, intensity_path
 from .discrete import DiscreteModel, ShiftRatios
 from .timescale import TimeScale
 
@@ -48,6 +48,7 @@ __all__ = [
     "ShiftRatios",
     "TimeScale",
     "history_dominates",
+    "intensity_path",
     "shift_chain",
     "shift_operator",
     "validate_rates",

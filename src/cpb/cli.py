@@ -29,6 +29,7 @@ from .core import (
     History,
     IncomparableHistoriesError,
     InvalidScheduleError,
+    PosteriorResult,
     PreconditionError,
     RateSchedule,
     SearchFailureError,
@@ -295,16 +296,14 @@ def cmd_posterior(args) -> int:
         if not isinstance(config.history, History):
             raise PreconditionError("posterior needs a [history] section")
         result = cont.intensity(config.continuous_model(), config.history)
-        row = [config.scenario, engine, result.prob_before, result.prob_after, result.intensity]
     else:
         model, history = _as_discrete(config, args.m)
         if engine == "oracle":
             survival = disc.brute_force_posterior(model, history)
         else:
             survival = disc.posterior_survival(model, history)
-        k = history.count
-        mu = model.rates.post(k) * (1 - survival) + model.rates.pre(k) * survival
-        row = [config.scenario, engine, survival, 1 - survival, mu]
+        result = PosteriorResult.from_survival(model.rates, history.count, survival)
+    row = [config.scenario, engine, result.prob_before, result.prob_after, result.intensity]
     _write_rows(args.out, ["scenario", "engine", "prob_before", "prob_after", "intensity"], [row])
     return EXIT_OK
 
@@ -483,20 +482,23 @@ def _verify_identities(config: ModelConfig, args) -> int:
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
-def _verify_convergence(config: ModelConfig, args) -> int:
+def _convergence_table(config: ModelConfig, m_list: str, what: str):
+    """Convergence study rows, each with its CSV cells: scenario, m, admissible,
+    discrete_posterior, continuous_posterior, abs_error."""
     if config.kind != "continuous" or not isinstance(config.history, History):
-        raise PreconditionError("convergence suite needs a continuous config with a history")
-    m_list = [int(v) for v in _split_list(args.m_list)]
-    model = config.continuous_model()
-    reference = cont.posterior_survival(model, config.history)
-    rows = []
-    errors = []
-    for row in cont.convergence_study(model, config.history, m_list):
-        status = "ok" if row.admissible else "inadmissible"
-        rows.append([config.scenario, "discrete", row.m, int(row.admissible),
-                     row.discrete_value, reference, row.error, status])
-        if row.admissible:
-            errors.append(row.error)
+        raise PreconditionError(f"{what} needs a continuous config with a history")
+    study = cont.convergence_study(
+        config.continuous_model(), config.history, [int(v) for v in _split_list(m_list)]
+    )
+    return [(row, [config.scenario, row.m, int(row.admissible), row.discrete_value,
+                   row.reference, row.error]) for row in study]
+
+
+def _verify_convergence(config: ModelConfig, args) -> int:
+    table = _convergence_table(config, args.m_list, "convergence suite")
+    rows = [[cells[0], "discrete", *cells[1:], "ok" if row.admissible else "inadmissible"]
+            for row, cells in table]
+    errors = [row.error for row, _ in table if row.admissible]
     shrinking = len(errors) >= 2 and all(b < a for a, b in zip(errors, errors[1:]))
     _write_rows(args.out, ["scenario", "engine", "m", "admissible", "discrete_posterior",
                            "continuous_posterior", "abs_error", "status"], rows)
@@ -612,15 +614,7 @@ def cmd_transform(args) -> int:
 
 def cmd_converge(args) -> int:
     config = load_config(args.config)
-    if config.kind != "continuous" or not isinstance(config.history, History):
-        raise PreconditionError("converge needs a continuous config with a history")
-    m_list = [int(v) for v in _split_list(args.m_list)]
-    model = config.continuous_model()
-    reference = cont.posterior_survival(model, config.history)
-    rows = []
-    for row in cont.convergence_study(model, config.history, m_list):
-        rows.append([config.scenario, row.m, int(row.admissible), row.discrete_value,
-                     reference, row.error])
+    rows = [cells for _, cells in _convergence_table(config, args.m_list, "converge")]
     _write_rows(args.out, ["scenario", "m", "admissible", "discrete_posterior",
                            "continuous_posterior", "abs_error"], rows)
     return EXIT_OK

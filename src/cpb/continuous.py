@@ -3,15 +3,25 @@
 Given an observed history, the conditional likelihood of "the switch
 happened at u" factorises into the active rate at each arrival instant
 times the exponential of minus the integrated active rate over the window.
-Both pieces are piecewise structured in u, cut at the arrival instants, and
-within each segment the log likelihood is affine in u.  The posterior
-survival probability therefore reduces to per-segment integrals against
-the switch law: closed form for the exponential and table families,
-adaptive quadrature for the rest, exact evaluation for point masses.
+Between consecutive arrival instants the log likelihood is affine in u, so
+the posterior reduces to per-stretch integrals against the switch law:
+closed form for the exponential and table families, adaptive quadrature
+for the weibull density, exact evaluation for point masses.
+
+The engine evaluates them in one forward pass over the arrivals, the
+continuous form of Shiryaev's Bayesian change-point filter.  The pass
+carries the log likelihood of "not yet switched" and the log mass of
+"already switched"; at each arrival the switched mass picks up the
+post-change factors and new mass enters through the stretch's integral.
+A posterior costs O(k) in the arrival count k, and the same pass yields
+the posterior and intensity at every arrival instant (``intensity_path``).
+The direct likelihood ``log_likelihood_given_changepoint`` is O(k^2) per
+switch time and is kept as a test oracle only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -20,7 +30,6 @@ from scipy import integrate
 
 from .core import (
     ChangePointLaw,
-    DegenerateModelError,
     DiscreteHistory,
     History,
     InvalidScheduleError,
@@ -28,6 +37,7 @@ from .core import (
     PreconditionError,
     RateSchedule,
     TAIL_REPEAT,
+    survival_from_log_masses,
 )
 from .discrete import DiscreteModel
 from . import discrete as _discrete
@@ -40,6 +50,7 @@ __all__ = [
     "log_likelihood_given_changepoint",
     "posterior_survival",
     "intensity",
+    "intensity_path",
     "sample_path",
     "discretize",
     "snap_history",
@@ -72,12 +83,17 @@ class PathSample:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """Discretisation quality at one grid resolution."""
+    """Discretisation quality at one grid resolution.
+
+    ``reference`` is the continuous posterior survival the grid value is
+    compared against; it is the same in every row of a study.
+    """
 
     m: int
     admissible: bool
     discrete_value: float | None
     error: float | None
+    reference: float
 
 
 def log_likelihood_given_changepoint(model: ContinuousModel, h: History, u: float) -> float:
@@ -88,6 +104,9 @@ def log_likelihood_given_changepoint(model: ContinuousModel, h: History, u: floa
     stretches contribute minus the integral of the active rate, summed over
     the constant pieces cut by the arrivals and by u itself.  Passing
     math.inf (or any u beyond the horizon) yields the all-pre-change value.
+
+    This is the direct O(k^2) evaluation, kept as an independent oracle for
+    the forward pass; the posterior engine does not call it.
     """
     if u < 0.0:
         raise ValueError(f"switch time must be nonnegative, got {u}")
@@ -112,25 +131,17 @@ def likelihood_given_changepoint(model: ContinuousModel, h: History, u: float) -
     return math.exp(log_likelihood_given_changepoint(model, h, u))
 
 
-def _affine_pieces(model: ContinuousModel, h: History):
-    """Affine description of u -> log likelihood between consecutive arrivals.
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
-    Yields (a, b, log_at_a, log_at_b) for every nonempty open segment
-    (a, b) of (0, horizon) cut at the arrival instants.  Within a segment
-    the log likelihood is exactly affine with slope post(i) - pre(i), where
-    i is the number of arrivals before the segment, so evaluating once at
-    the midpoint pins the whole piece.
-    """
-    t = h.horizon
-    bounds = [0.0, *h.arrivals, t]
-    for i in range(len(bounds) - 1):
-        a, b = bounds[i], bounds[i + 1]
-        if b <= a:
-            continue
-        slope = model.rates.post(i) - model.rates.pre(i)
-        mid = 0.5 * (a + b)
-        log_mid = log_likelihood_given_changepoint(model, h, mid)
-        yield a, b, log_mid + slope * (a - mid), log_mid + slope * (b - mid)
+
+def _log_add(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) without overflow."""
+    if x < y:
+        x, y = y, x
+    if y == -math.inf:
+        return x
+    return x + math.log1p(math.exp(y - x))
 
 
 def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
@@ -151,74 +162,35 @@ def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
     return hi + math.log1p(-math.exp(-abs(d))) - math.log(abs(d)) + math.log(width)
 
 
-def _log_change_integral(model: ContinuousModel, h: History) -> float:
-    """log of the likelihood integrated against the switch law over the window."""
-    law = model.law
-    t = h.horizon
+def _segment_integral(law: ChangePointLaw):
+    """The law's segment integral: (a, b, la, lb, slope) -> log mass.
 
-    if law.family == "point-mass":
-        u0 = law.location
-        if u0 > t:
-            return -math.inf
-        return log_likelihood_given_changepoint(model, h, u0)
-
-    pieces = list(_affine_pieces(model, h))
-    parts: list[float] = []
-
+    The integrand is exp(la + slope * (u - a)) on the switch times u in
+    (a, b], with la and lb its log values at the two ends, weighted by the
+    switch law: in closed form for the exponential and table families, by
+    adaptive quadrature for the weibull density, exactly for a point mass.
+    """
     if law.family == "exponential":
         rho = law.rate
         log_rho = math.log(rho)
-        for a, b, la, lb in pieces:
-            parts.append(_log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a))
+
+        def integral(a, b, la, lb, slope):
+            return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
+
     elif law.family == "table":
-        for a, b, la, lb in pieces:
-            slope = (lb - la) / (b - a)
-            for s0, s1, dens in _table_density_pieces(law, a, b):
-                if dens <= 0.0:
-                    continue
-                log_d = math.log(dens)
-                l0 = la + slope * (s0 - a) + log_d
-                l1 = la + slope * (s1 - a) + log_d
-                parts.append(_log_integral_affine(l0, l1, s1 - s0))
-    else:
-        # smooth density families: adaptive quadrature per affine piece
-        pdf = _density_function(law)
-        for a, b, la, lb in pieces:
-            slope = (lb - la) / (b - a)
-            shift = max(la, lb)
-            if shift == -math.inf:
-                continue
+        knots = law.knots
+        times = [s for s, _ in knots]
 
-            def integrand(u, _a=a, _la=la, _slope=slope, _shift=shift):
-                return math.exp(_la + _slope * (u - _a) - _shift) * pdf(u)
+        def integral(a, b, la, lb, slope):
+            total = -math.inf
+            for s0, s1, dens in _table_density_pieces(knots, times, a, b):
+                if dens > 0.0:
+                    log_d = math.log(dens)
+                    total = _log_add(total, _log_integral_affine(
+                        la + slope * (s0 - a) + log_d, la + slope * (s1 - a) + log_d, s1 - s0))
+            return total
 
-            value, _ = integrate.quad(
-                integrand, a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200
-            )
-            if value > 0.0:
-                parts.append(shift + math.log(value))
-
-    if not parts:
-        return -math.inf
-    m = max(parts)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(p - m) for p in parts))
-
-
-def _table_density_pieces(law: ChangePointLaw, a: float, b: float):
-    """Constant-density sub-segments of (a, b) under a table law."""
-    knots = law.knots
-    for (s0, g0), (s1, g1) in zip(knots, knots[1:]):
-        lo = max(a, s0)
-        hi = min(b, s1)
-        if hi <= lo:
-            continue
-        yield lo, hi, (g1 - g0) / (s1 - s0)
-
-
-def _density_function(law: ChangePointLaw):
-    if law.family == "weibull":
+    elif law.family == "weibull":
         shape, scale = law.shape, law.scale
 
         def pdf(u: float) -> float:
@@ -227,37 +199,103 @@ def _density_function(law: ChangePointLaw):
             z = u / scale
             return (shape / scale) * z ** (shape - 1.0) * math.exp(-(z**shape))
 
-        return pdf
-    raise InvalidScheduleError(f"no density available for family {law.family!r}")
+        def integral(a, b, la, lb, slope):
+            shift = max(la, lb)
+            value, _ = integrate.quad(
+                lambda u: math.exp(la + slope * (u - a) - shift) * pdf(u),
+                a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200,
+            )
+            return shift + math.log(value) if value > 0.0 else -math.inf
+
+    elif law.family == "point-mass":
+        u0 = law.location
+
+        def integral(a, b, la, lb, slope):
+            if u0 == b:
+                return lb
+            return la + slope * (u0 - a) if a < u0 < b else -math.inf
+
+    else:
+        raise InvalidScheduleError(f"no segment integral for family {law.family!r}")
+    return integral
 
 
-def _posterior_log_parts(model: ContinuousModel, h: History) -> tuple[float, float]:
-    """(log mass with switch inside the window, log mass with switch beyond)."""
-    log_change = _log_change_integral(model, h)
-    log_no_change = model.law.log_sf(h.horizon) + log_likelihood_given_changepoint(
-        model, h, math.inf
-    )
-    return log_change, log_no_change
+def _table_density_pieces(knots, times, a: float, b: float):
+    """Constant-density sub-segments of (a, b) under a table law.
+
+    ``times`` lists the knot times; a bisection finds the knot interval
+    holding a, so the cost is O(log knots) plus the pieces yielded.
+    """
+    j = bisect.bisect_right(times, a)
+    while j < len(knots) and times[j - 1] < b:
+        (s0, g0), (s1, g1) = knots[j - 1], knots[j]
+        yield max(a, s0), min(b, s1), (g1 - g0) / (s1 - s0)
+        j += 1
+
+
+def _forward(model: ContinuousModel, h: History):
+    """One pass over the arrivals: yields (instant, log_change, log_stay).
+
+    Emits one triple at every arrival instant and one at the horizon.
+    log_stay is the log likelihood of the history up to the instant when
+    the switch has not happened by then, log_change the log of the
+    likelihood integrated against the switch law over switch times up to
+    the instant.  Between consecutive instants a and b, with i arrivals
+    before b, the switched mass picks up the post-change factors of the
+    stretch and of the arrival at b, and mass enters from the switch times
+    in (a, b], where the log likelihood is affine in the switch time with
+    slope post(i) - pre(i).  A switch exactly at an arrival instant puts
+    that arrival on the post-change rate, so it belongs to the stretch
+    that ends there.  Each step costs O(1) (O(log knots) for a table law).
+    """
+    rates = model.rates
+    integral = _segment_integral(model.law)
+    log_stay, log_change = 0.0, -math.inf
+    a = 0.0
+    k = h.count
+    for i, b in enumerate((*h.arrivals, h.horizon)):
+        pre, post = rates.pre(i), rates.post(i)
+        # the horizon closes the last stretch without an arrival
+        log_pre, log_post = (_log(pre), _log(post)) if i < k else (0.0, 0.0)
+        width = b - a
+        if width > 0.0:
+            log_change += log_post - post * width
+            la = log_stay + log_post - post * width
+            if la > -math.inf:
+                lb = log_stay + log_post - pre * width
+                log_change = _log_add(log_change, integral(a, b, la, lb, post - pre))
+        log_stay += log_pre - pre * width
+        yield b, log_change, log_stay
+        a = b
+
+
+def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
+    """Posterior and intensity along the history, from one forward pass.
+
+    Entry i < k is the result for the prefix history that ends at the
+    (i+1)-th arrival instant, with that arrival exactly at its horizon;
+    the last entry is the result at the horizon of h.  Costs O(k) in all
+    (O(k log knots) for a table law).
+    """
+    law, rates, k = model.law, model.rates, h.count
+    return [
+        PosteriorResult.from_survival(
+            rates, min(i + 1, k), survival_from_log_masses(log_change, law.log_sf(instant) + log_stay)
+        )
+        for i, (instant, log_change, log_stay) in enumerate(_forward(model, h))
+    ]
 
 
 def posterior_survival(model: ContinuousModel, h: History) -> float:
     """Posterior probability that the switch lies beyond the horizon."""
-    log_change, log_no_change = _posterior_log_parts(model, h)
-    if log_change == -math.inf and log_no_change == -math.inf:
-        raise DegenerateModelError("history has zero probability under this model")
-    if log_no_change == -math.inf:
-        return 0.0
-    if log_change == -math.inf:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(log_change - log_no_change))
+    for _, log_change, log_stay in _forward(model, h):
+        pass
+    return survival_from_log_masses(log_change, model.law.log_sf(h.horizon) + log_stay)
 
 
 def intensity(model: ContinuousModel, h: History) -> PosteriorResult:
     """Arrival intensity at the horizon: posterior mixture of the two rates."""
-    survival = posterior_survival(model, h)
-    k = h.count
-    value = model.rates.post(k) * (1.0 - survival) + model.rates.pre(k) * survival
-    return PosteriorResult(prob_after=1.0 - survival, prob_before=survival, intensity=value)
+    return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h))
 
 
 def sample_path(
@@ -381,8 +419,9 @@ def convergence_study(
 
     Each admissible m snaps the history onto the grid, evaluates the
     discrete posterior survival, and records the absolute gap to the
-    continuous value; resolutions whose snapping degenerates are reported
-    as inadmissible instead of being silently adjusted.
+    continuous value, which every row carries; resolutions whose snapping
+    degenerates are reported as inadmissible instead of being silently
+    adjusted.
     """
     reference = posterior_survival(model, h)
     rows: list[ConvergenceRow] = []
@@ -393,9 +432,9 @@ def convergence_study(
             disc = discretize(model, m, slots=snapped.horizon_slot)
             value = _discrete.posterior_survival(disc, snapped)
         except PreconditionError:
-            rows.append(ConvergenceRow(m=m, admissible=False, discrete_value=None, error=None))
-            continue
-        rows.append(
-            ConvergenceRow(m=m, admissible=True, discrete_value=value, error=abs(value - reference))
-        )
+            value = None
+        rows.append(ConvergenceRow(
+            m=m, admissible=value is not None, discrete_value=value,
+            error=None if value is None else abs(value - reference), reference=reference,
+        ))
     return rows

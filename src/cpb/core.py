@@ -11,6 +11,7 @@ the partial order in discrete time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -250,10 +251,9 @@ class ChangePointLaw:
         pts = self.knots
         if x >= pts[-1][0]:
             return 1.0
-        for (s0, g0), (s1, g1) in zip(pts, pts[1:]):
-            if x <= s1:
-                return g0 + (g1 - g0) * (x - s0) / (s1 - s0)
-        return 1.0
+        j = bisect.bisect_left(pts, (x,))  # first knot at or after x
+        (s0, g0), (s1, g1) = pts[j - 1], pts[j]
+        return g0 + (g1 - g0) * (x - s0) / (s1 - s0)
 
     def sf(self, x: float) -> float:
         """Probability that the switch happens strictly after x."""
@@ -405,6 +405,28 @@ class PosteriorResult:
     prob_after: float
     prob_before: float
     intensity: float
+
+    @classmethod
+    def from_survival(cls, rates: RateSchedule, k: int, survival: float) -> "PosteriorResult":
+        """Result for posterior survival ``survival`` after k arrivals."""
+        value = rates.post(k) * (1.0 - survival) + rates.pre(k) * survival
+        return cls(prob_after=1.0 - survival, prob_before=survival, intensity=value)
+
+
+def survival_from_log_masses(log_change: float, log_no_change: float) -> float:
+    """Posterior survival 1 / (1 + exp(log_change - log_no_change)).
+
+    Shared by both engines.  Never takes exp of a positive argument, so it
+    stays finite however decisive the evidence; raises when both masses
+    vanish.
+    """
+    if log_change == -math.inf and log_no_change == -math.inf:
+        raise DegenerateModelError("history has zero probability under this model")
+    d = log_change - log_no_change
+    if d > 0.0:
+        e = math.exp(-d)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(d))
 
 
 @dataclass(frozen=True)

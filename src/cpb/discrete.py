@@ -22,9 +22,11 @@ from .core import (
     DiscreteHistory,
     CapacityError,
     InvalidScheduleError,
+    PosteriorResult,
     PreconditionError,
     RateSchedule,
     shift_operator,
+    survival_from_log_masses,
 )
 
 __all__ = [
@@ -198,10 +200,7 @@ def posterior_survival(model: DiscreteModel, h: DiscreteHistory) -> float:
             raise DegenerateModelError("history has zero probability under this model")
         return tail / denom
     log_w, log_tail = _log_joint_weights(model, h)
-    log_change = _logsumexp(log_w)
-    if log_change == -math.inf and log_tail == -math.inf:
-        raise DegenerateModelError("history has zero probability under this model")
-    return 1.0 / (1.0 + math.exp(log_change - log_tail))
+    return survival_from_log_masses(_logsumexp(log_w), log_tail)
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -217,9 +216,7 @@ def step_intensity(model: DiscreteModel, h: DiscreteHistory) -> float:
     Equals the posterior mixture of the two per-slot rates at the current
     arrival count.
     """
-    survival = posterior_survival(model, h)
-    k = h.count
-    return model.rates.post(k) * (1.0 - survival) + model.rates.pre(k) * survival
+    return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h)).intensity
 
 
 def shift_ratios(model: DiscreteModel, l: int) -> ShiftRatios:

@@ -22,6 +22,7 @@ from .core import (
     ChangePointLaw,
     DiscreteHistory,
     History,
+    PosteriorResult,
     PreconditionError,
     RateSchedule,
     SearchFailureError,
@@ -122,17 +123,14 @@ class SweepReport:
 def _evaluate_pair(engine: str, model, h_low, h_high):
     """Posterior and intensity for both histories in the requested engine."""
     if engine == "discrete":
-        p_low = disc.posterior_survival(model, h_low)
-        p_high = disc.posterior_survival(model, h_high)
-        k_low, k_high = h_low.count, h_high.count
-        i_low = model.rates.post(k_low) * (1 - p_low) + model.rates.pre(k_low) * p_low
-        i_high = model.rates.post(k_high) * (1 - p_high) + model.rates.pre(k_high) * p_high
+        r_low, r_high = (
+            PosteriorResult.from_survival(model.rates, h.count, disc.posterior_survival(model, h))
+            for h in (h_low, h_high)
+        )
     else:
         r_low = cont.intensity(model, h_low)
         r_high = cont.intensity(model, h_high)
-        p_low, i_low = r_low.prob_before, r_low.intensity
-        p_high, i_high = r_high.prob_before, r_high.intensity
-    return p_low, p_high, i_low, i_high
+    return r_low.prob_before, r_high.prob_before, r_low.intensity, r_high.intensity
 
 
 def _sample_discrete_model(cfg: SweepConfig, rng: np.random.Generator) -> disc.DiscreteModel:

@@ -181,6 +181,45 @@ class TestPosterior:
         assert code == cli.EXIT_PRECONDITION
 
 
+def history_config(pre, post, law_lines, horizon, arrivals):
+    return "\n".join([
+        "[rates]", f"pre = {pre!r}", f"post = {post!r}", "", "[changepoint]", *law_lines, "",
+        "[history]", f"horizon = {horizon!r}", "arrivals = " + ", ".join(repr(a) for a in arrivals),
+    ]) + "\n"
+
+
+# Histories whose log-odds for "switched" lie far past the float exponent
+# range: name -> (config, extra argv, (pre rate, post rate)).
+DECISIVE = {
+    "discrete-1900-of-2000": (
+        history_config(0.01, 0.9, ["family = hazard", "values = 0.5"], 2000,
+                       np.sort(np.random.default_rng(0).choice(np.arange(1, 2001), 1900,
+                                                               replace=False)).tolist()),
+        ["--engine", "discrete"], (0.01, 0.9)),
+    "exponential-k900": (
+        history_config(0.1, 10.0, ["family = exponential", "rate = 1.0"], 100.0,
+                       [100.0 * i / 900 for i in range(1, 901)]),
+        [], (0.1, 10.0)),
+    "weibull-k300": (
+        history_config(0.1, 10.0, ["family = weibull", "shape = 1.5", "scale = 1.0"], 30.0,
+                       [30.0 * i / 300 for i in range(1, 301)]),
+        [], (0.1, 10.0)),
+}
+
+
+class TestDecisiveEvidence:
+    @pytest.mark.parametrize("name", sorted(DECISIVE))
+    def test_posterior_stays_finite(self, name, tmp_path, capsys):
+        text, extra, (pre, post) = DECISIVE[name]
+        code, out, err = run_cli(capsys, "posterior", write(tmp_path, "decisive.cfg", text), *extra)
+        assert code == 0, err
+        (row,) = rows_of(out)
+        before, after, mu = (float(row[c]) for c in ("prob_before", "prob_after", "intensity"))
+        assert all(math.isfinite(v) for v in (before, after, mu))
+        assert 0.0 <= before <= 1e-300 and after == 1.0
+        assert mu == pytest.approx(post, rel=1e-12) and pre <= mu <= post
+
+
 class TestSimulate:
     def test_zero_paths_header_only(self, tmp_path, capsys):
         path = write(tmp_path, "closed.cfg", CLOSED_FORM)

@@ -5,9 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import cpb.continuous as continuous_module
 from cpb.core import (
+    TAIL_REPEAT,
+    TAIL_ZERO,
     ChangePointLaw,
     History,
     PreconditionError,
@@ -18,6 +23,7 @@ from cpb.continuous import (
     convergence_study,
     discretize,
     intensity,
+    intensity_path,
     likelihood_given_changepoint,
     posterior_survival,
     sample_path,
@@ -186,6 +192,123 @@ class TestIntensity:
         res = intensity(closed_form_model(), History(1.0))
         assert res.prob_before == pytest.approx(0.5, abs=1e-12)
         assert res.intensity == pytest.approx(1.5, abs=1e-12)
+
+
+def _law_density(law):
+    if law.family == "exponential":
+        return lambda u: law.rate * math.exp(-law.rate * u)
+    if law.family == "weibull":
+        return stats.weibull_min(law.shape, scale=law.scale).pdf
+    knots = law.knots
+
+    def table_pdf(u):
+        for (s0, g0), (s1, g1) in zip(knots, knots[1:]):
+            if s0 <= u < s1:
+                return (g1 - g0) / (s1 - s0)
+        return 0.0
+
+    return table_pdf
+
+
+def oracle_survival(model, h):
+    """Posterior survival by quadrature of the direct likelihood, segment by segment.
+
+    Cuts the window at the arrivals and at the table knots, so every piece
+    of the integrand is smooth; a point mass is evaluated where it sits.
+    """
+    t, law = h.horizon, model.law
+    no_change = law.sf(t) * likelihood_given_changepoint(model, h, math.inf)
+    if law.family == "point-mass":
+        u0 = law.location
+        change = likelihood_given_changepoint(model, h, u0) if u0 <= t else 0.0
+    else:
+        pdf = _law_density(law)
+        knots = [s for s, _ in law.knots] if law.family == "table" else []
+        cuts = sorted({0.0, t, *h.arrivals, *(s for s in knots if 0.0 < s < t)})
+        change = sum(
+            integrate.quad(lambda u: likelihood_given_changepoint(model, h, u) * pdf(u), a, b,
+                           epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for a, b in zip(cuts, cuts[1:])
+        )
+    return no_change / (change + no_change)
+
+
+@st.composite
+def forward_cases(draw):
+    """Small models and histories over all four law families.
+
+    Covers zero-tail schedules, arrivals exactly at the horizon, point
+    masses on an arrival instant or on the horizon, and table laws with a
+    flat stretch.
+    """
+    k = draw(st.integers(0, 5))
+    tail = draw(st.sampled_from([TAIL_REPEAT, TAIL_ZERO]))
+    # a zero tail forbids arrivals past the listed counts
+    size = draw(st.integers(max(1, k) if tail == TAIL_ZERO else 1, 6))
+    rate = st.floats(0.1, 5.0)
+    pre = draw(st.lists(rate, min_size=size, max_size=size))
+    post = draw(st.lists(rate, min_size=size, max_size=size))
+    horizon = draw(st.floats(0.5, 4.0))
+    cum = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=k + 1, max_size=k + 1)))
+    arrivals = [float(horizon * c / cum[-1]) for c in cum[:k]]
+    if arrivals and draw(st.booleans()):
+        arrivals[-1] = horizon
+    family = draw(st.sampled_from(["exponential", "weibull", "table", "point-mass"]))
+    if family == "exponential":
+        law = ChangePointLaw.exponential(draw(st.floats(0.1, 3.0)))
+    elif family == "weibull":
+        law = ChangePointLaw.weibull(draw(st.floats(0.8, 3.0)), draw(st.floats(0.3, 3.0)))
+    elif family == "point-mass":
+        location = draw(st.sampled_from([*arrivals, horizon, draw(st.floats(0.01, 2 * horizon))]))
+        law = ChangePointLaw.point_mass(location)
+    else:
+        times = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=2, max_size=5)))
+        steps = draw(st.lists(st.floats(0.05, 1.0), min_size=len(times), max_size=len(times)))
+        steps[draw(st.integers(0, len(steps) - 2))] = 0.0  # a flat stretch
+        values = np.cumsum(steps) / sum(steps)
+        law = ChangePointLaw.table([(float(s), min(float(g), 1.0)) for s, g in zip(times[:-1], values)]
+                                   + [(float(times[-1]), 1.0)])
+    model = ContinuousModel(RateSchedule(tuple(pre), tuple(post), tail_mode=tail), law)
+    return model, History(horizon, tuple(arrivals))
+
+
+class TestForwardPass:
+    @settings(max_examples=150, deadline=None)
+    @given(forward_cases())
+    def test_matches_segmentwise_oracle(self, case):
+        model, h = case
+        expected = oracle_survival(model, h)
+        res = intensity(model, h)
+        k = h.count
+        assert res.prob_before == pytest.approx(expected, rel=1e-8, abs=1e-12)
+        assert res.intensity == pytest.approx(
+            model.rates.post(k) * (1.0 - expected) + model.rates.pre(k) * expected,
+            rel=1e-8, abs=1e-12,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(forward_cases())
+    def test_path_entries_are_prefix_histories(self, case):
+        model, h = case
+        path = intensity_path(model, h)
+        assert len(path) == h.count + 1
+        for i, t_i in enumerate(h.arrivals):
+            prefix = intensity(model, History(t_i, h.arrivals[: i + 1]))
+            assert path[i].prob_before == pytest.approx(prefix.prob_before, rel=1e-13, abs=1e-300)
+            assert path[i].intensity == pytest.approx(prefix.intensity, rel=1e-13)
+        assert path[-1] == intensity(model, h)
+
+    def test_engine_does_not_call_the_direct_likelihood(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine called log_likelihood_given_changepoint")
+
+        monkeypatch.setattr(continuous_module, "log_likelihood_given_changepoint", refuse)
+        model = ContinuousModel(RateSchedule((0.8, 1.0, 1.2), (2.0, 2.6, 3.2)),
+                                ChangePointLaw.exponential(0.04))
+        h = History(400.0, tuple(0.4 * i for i in range(1, 1001)))
+        res = intensity(model, h)
+        assert 0.0 <= res.prob_before <= 1.0
+        assert 1.2 <= res.intensity <= 3.2
 
 
 class TestSamplePath:

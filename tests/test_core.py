@@ -75,6 +75,13 @@ class TestChangePointLaw:
         assert law.cdf(2.0) == pytest.approx(0.625)
         assert law.cdf(10.0) == 1.0
 
+    def test_table_cdf_at_and_between_knots(self):
+        knots = [(0.5, 0.1), (1.5, 0.1), (2.0, 0.6), (4.0, 1.0)]
+        law = ChangePointLaw.table(knots)
+        for (s0, g0), (s1, g1) in zip([(0.0, 0.0)] + knots, knots):
+            assert law.cdf(s1) == pytest.approx(g1, abs=1e-15)
+            assert law.cdf(0.5 * (s0 + s1)) == pytest.approx(0.5 * (g0 + g1), abs=1e-15)
+
     def test_table_ppf_round_trip(self):
         law = ChangePointLaw.table([(1.0, 0.25), (2.0, 0.25), (4.0, 1.0)])
         for q in (0.1, 0.25, 0.5, 0.99):
