@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -423,20 +424,7 @@ def _verify_counterexample(config: ModelConfig, args) -> int:
             witness = verify.counterexample_added_arrival(args.M)
             m_value = args.M
         else:
-            model = config.continuous_model()
-            margin, t, t1, mu_one, mu_empty = verify.added_arrival_search(model)
-            if margin >= -1e-6:
-                raise SearchFailureError(
-                    f"no intensity drop found: min margin {margin:.6g} at t={t:.4g}, t1={t1:.4g}"
-                )
-            witness = verify.Witness(
-                engine="continuous", model=model,
-                history_low=History(t), history_high=History(t, (t1,)),
-                posterior_low=cont.posterior_survival(model, History(t)),
-                posterior_high=cont.posterior_survival(model, History(t, (t1,))),
-                intensity_low=mu_empty, intensity_high=mu_one, margin=margin,
-                note="arrival counts differ",
-            )
+            witness = verify.added_arrival_witness(config.continuous_model())
             m_value = config.rates.post(1)
     except SearchFailureError as exc:
         print(str(exc), file=sys.stderr)
@@ -466,7 +454,8 @@ def _verify_identities(config: ModelConfig, args) -> int:
         l = int(rng.integers(1, h.count + 1))
         if shift_operator(h, l) == h:
             continue
-        rep = disc.verify_shift_identities(model, h, l, rel_tol=max(config.tolerance, 1e-12))
+        # the rows below judge each quantity; the function's own check would raise first
+        rep = disc.verify_shift_identities(model, h, l, rel_tol=math.inf)
         checked += 1
         if rep.measured_alpha is not None:
             worst["alpha"] = max(worst["alpha"], abs(rep.measured_alpha / rep.expected.alpha - 1))

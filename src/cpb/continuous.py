@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     ChangePointLaw,
@@ -191,6 +190,10 @@ def _segment_integral(law: ChangePointLaw):
             return total
 
     elif law.family == "weibull":
+        # only this branch needs scipy; importing it lazily keeps it off
+        # the import time of every command
+        from scipy import integrate
+
         shape, scale = law.shape, law.scale
 
         def pdf(u: float) -> float:

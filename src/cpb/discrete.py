@@ -42,10 +42,6 @@ __all__ = [
     "sample_discrete_path",
 ]
 
-# Below this horizon plain products are exact enough and cheapest; past it
-# the per-slot products can underflow, so sums move to log space.
-_LINEAR_SLOT_LIMIT = 50
-
 _ORACLE_SLOT_LIMIT = 16
 
 
@@ -94,53 +90,43 @@ class ShiftIdentityReport:
     posterior_shifted: float
 
 
-def _slot_log_factors(model: DiscreteModel, h: DiscreteHistory):
-    """Per-slot log factors under each regime, for slots 1..n.
+def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float], float]:
+    """Log joint weights of the history with switch slots 1..n, plus the tail term.
 
-    Returns (log_pre, log_post) arrays where entry r-1 is the log
-    probability of slot r's outcome (arrival or not) when the slot sits
-    before respectively after the switch.
+    One pass over the slots carries three running sums: the log probability
+    of no switch so far, and the log likelihood of the slots seen so far
+    under the pre-change and under the post-change regime.  Switch slot j
+    keeps slots up to j pre-change and the later ones post-change, so its
+    weight is log hazard_j + keep_{j-1} + pre_j - post_j, plus the
+    post-change total over all n slots.  Every switch slot beyond the
+    horizon shares the all-pre-change likelihood, hence the tail term
+    keep_n + pre_n.
     """
-    n = h.horizon_slot
-    slots = np.arange(1, n + 1)
-    arr = np.asarray(h.arrival_slots, dtype=np.int64)
-    counts = np.searchsorted(arr, slots, side="left")  # arrivals strictly before slot r
-    is_arrival = np.isin(slots, arr)
-    pre = np.array([model.rates.pre(int(c)) for c in counts])
-    post = np.array([model.rates.post(int(c)) for c in counts])
-    log_pre = np.where(is_arrival, np.log(pre), np.log1p(-pre))
-    log_post = np.where(is_arrival, np.log(post), np.log1p(-post))
-    return log_pre, log_post
+    rates, law = model.rates, model.law
+    arrivals = set(h.arrival_slots)
+    log_w = []
+    log_keep = pre_sum = post_sum = 0.0
+    count = 0
+    for j in range(1, h.horizon_slot + 1):
+        pre, post = rates.pre(count), rates.post(count)
+        if j in arrivals:
+            pre_sum += math.log(pre)
+            post_sum += math.log(post)
+            count += 1
+        else:
+            pre_sum += math.log1p(-pre)
+            post_sum += math.log1p(-post)
+        haz = law.hazard(j)
+        log_w.append(math.log(haz) + log_keep + pre_sum - post_sum)
+        log_keep += math.log1p(-haz)
+    return [w + post_sum for w in log_w], log_keep + pre_sum
 
 
-def _log_switch_masses(model: DiscreteModel, h: DiscreteHistory):
-    """log P(switch = j) for j = 1..n and log P(switch > n)."""
-    n = h.horizon_slot
-    log_haz = np.array([math.log(model.law.hazard(j)) for j in range(1, n + 1)])
-    log_keep = np.array([math.log1p(-model.law.hazard(j)) for j in range(1, n + 1)])
-    log_surv_prefix = np.concatenate(([0.0], np.cumsum(log_keep)))
-    log_mass = log_haz + log_surv_prefix[:-1]
-    return log_mass, log_surv_prefix[n]
-
-
-def _log_joint_weights(model: DiscreteModel, h: DiscreteHistory):
-    """Log weights for switch slots 1..n plus the closed-form beyond-horizon term.
-
-    The weight of switch slot j factorises slot by slot: slots up to j use
-    pre-change factors, slots beyond it post-change ones, so prefix sums
-    give all n weights in one pass.  Every switch slot beyond the horizon
-    shares the all-pre-change likelihood, hence the tail term is the
-    beyond-horizon prior mass times that single likelihood.
-    """
-    n = h.horizon_slot
-    log_pre, log_post = _slot_log_factors(model, h)
-    p0 = np.concatenate(([0.0], np.cumsum(log_pre)))
-    p1 = np.concatenate(([0.0], np.cumsum(log_post)))
-    log_mass, log_prior_tail = _log_switch_masses(model, h)
-    js = np.arange(1, n + 1)
-    log_w = log_mass + p0[js] + (p1[n] - p1[js])
-    log_tail = log_prior_tail + p0[n]
-    return log_w, log_tail
+def _logsumexp(values: list[float]) -> float:
+    m = max(values, default=-math.inf)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(sum(math.exp(v - m) for v in values))
 
 
 def log_joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
@@ -148,13 +134,14 @@ def log_joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
     if j < 1:
         raise ValueError(f"switch slot must be >= 1, got {j}")
     n = h.horizon_slot
+    log_w, log_tail = _log_weights(model, h)
     if j <= n:
-        log_w, _ = _log_joint_weights(model, h)
-        return float(log_w[j - 1])
-    # beyond the horizon every slot is pre-change
-    log_pre, _ = _slot_log_factors(model, h)
-    log_mass = math.log(model.law.hazard(j)) + model.law.log_no_change_through(j - 1)
-    return log_mass + float(np.sum(log_pre))
+        return log_w[j - 1]
+    # beyond the horizon every slot is pre-change: narrow the tail's prior
+    # mass P(switch > n) down to P(switch = j)
+    law = model.law
+    return (log_tail + math.log(law.hazard(j))
+            + law.log_no_change_through(j - 1) - law.log_no_change_through(n))
 
 
 def joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
@@ -162,52 +149,10 @@ def joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
     return math.exp(log_joint_weight(model, h, j))
 
 
-def _linear_weights(model: DiscreteModel, h: DiscreteHistory):
-    """Plain-product weights for switch slots 1..n plus the tail term."""
-    n = h.horizon_slot
-    arr = set(h.arrival_slots)
-    pre_f = np.empty(n)
-    post_f = np.empty(n)
-    count = 0
-    for r in range(1, n + 1):
-        hit = r in arr
-        pre = model.rates.pre(count)
-        post = model.rates.post(count)
-        pre_f[r - 1] = pre if hit else 1.0 - pre
-        post_f[r - 1] = post if hit else 1.0 - post
-        if hit:
-            count += 1
-    pre_prefix = np.concatenate(([1.0], np.cumprod(pre_f)))
-    post_suffix = np.concatenate((np.cumprod(post_f[::-1])[::-1], [1.0]))
-    mass = np.empty(n)
-    keep = 1.0
-    for j in range(1, n + 1):
-        haz = model.law.hazard(j)
-        mass[j - 1] = keep * haz
-        keep *= 1.0 - haz
-    weights = mass * pre_prefix[1:] * post_suffix[1:]
-    tail = keep * pre_prefix[n]
-    return weights, tail
-
-
 def posterior_survival(model: DiscreteModel, h: DiscreteHistory) -> float:
     """Posterior probability that the switch lies beyond the horizon slot."""
-    n = h.horizon_slot
-    if n + h.count <= _LINEAR_SLOT_LIMIT:
-        weights, tail = _linear_weights(model, h)
-        denom = tail + float(np.sum(weights))
-        if denom <= 0.0:
-            raise DegenerateModelError("history has zero probability under this model")
-        return tail / denom
-    log_w, log_tail = _log_joint_weights(model, h)
+    log_w, log_tail = _log_weights(model, h)
     return survival_from_log_masses(_logsumexp(log_w), log_tail)
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values)) if values.size else -math.inf
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(values - m))))
 
 
 def step_intensity(model: DiscreteModel, h: DiscreteHistory) -> float:
@@ -251,19 +196,20 @@ def verify_shift_identities(
     slot = h.arrival_slots[l - 1]
 
     def blocks(hist: DiscreteHistory):
-        weights, tail = _linear_weights(model, hist)
-        before = float(np.sum(weights[: slot - 1]))
-        at = float(weights[slot - 1])
-        mid = float(np.sum(weights[slot:]))
-        return before, at, mid, tail
+        log_w, log_tail = _log_weights(model, hist)
+        before = _logsumexp(log_w[: slot - 1])
+        at = log_w[slot - 1]
+        mid = _logsumexp(log_w[slot:])
+        return before, at, mid, log_tail
 
     a0, g0, b0, c0 = blocks(h)
     a1, g1, b1, c1 = blocks(shifted)
 
-    measured_alpha = a1 / a0 if a0 > 0.0 else None
-    measured_gamma_mid = b1 / b0 if b0 > 0.0 else None
-    measured_gamma_tail = c1 / c0
-    measured_delta = g1 / g0
+    # an empty block (arrival in the first or the last slot) has no ratio
+    measured_alpha = math.exp(a1 - a0) if a0 > -math.inf else None
+    measured_gamma_mid = math.exp(b1 - b0) if b0 > -math.inf else None
+    measured_gamma_tail = math.exp(c1 - c0)
+    measured_delta = math.exp(g1 - g0)
 
     errors = [abs(measured_gamma_tail / expected.gamma - 1.0),
               abs(measured_delta / expected.delta - 1.0)]
@@ -277,8 +223,6 @@ def verify_shift_identities(
             f"shift identities violated: max relative error {max_rel_error:.3e} > {rel_tol:.1e}"
         )
 
-    denom0 = a0 + g0 + b0 + c0
-    denom1 = a1 + g1 + b1 + c1
     return ShiftIdentityReport(
         expected=expected,
         measured_alpha=measured_alpha,
@@ -286,8 +230,8 @@ def verify_shift_identities(
         measured_gamma_tail=measured_gamma_tail,
         measured_delta=measured_delta,
         max_rel_error=max_rel_error,
-        posterior=c0 / denom0,
-        posterior_shifted=c1 / denom1,
+        posterior=survival_from_log_masses(_logsumexp([a0, g0, b0]), c0),
+        posterior_shifted=survival_from_log_masses(_logsumexp([a1, g1, b1]), c1),
     )
 
 

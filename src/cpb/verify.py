@@ -38,6 +38,7 @@ __all__ = [
     "CataniaBridgeReport",
     "theorem1_sweep",
     "counterexample_added_arrival",
+    "added_arrival_witness",
     "added_arrival_search",
     "interval_mismatch_examples",
     "remark5_check",
@@ -350,6 +351,17 @@ def counterexample_added_arrival(
     model = cont.ContinuousModel(
         RateSchedule((1.0, 1.0), (2.0, float(M))), ChangePointLaw.exponential(1.0)
     )
+    return added_arrival_witness(model, t_max=t_max, step=step, margin=margin)
+
+
+def added_arrival_witness(
+    model: cont.ContinuousModel, t_max: float = 5.0, step: float = 0.05, margin: float = 1e-6
+) -> Witness:
+    """The empty history and its one-arrival extension where intensity drops most.
+
+    Runs added_arrival_search on the model and raises when no drop beyond
+    the margin exists on the searched grid.
+    """
     found, t, t1, mu_one, mu_empty = added_arrival_search(model, t_max=t_max, step=step)
     if found >= -margin:
         raise SearchFailureError(

@@ -324,6 +324,32 @@ class TestVerifySuites:
         assert {r["quantity"] for r in rows} == {"alpha", "gamma_mid", "gamma_tail", "delta"}
         assert all(float(r["max_rel_error"]) <= 1e-12 for r in rows)
 
+    def test_identities_suite_long_horizon(self, tmp_path, capsys):
+        # 3000 slots: the plain products of the weights underflow to zero
+        path = write(tmp_path, "disc.cfg", DISCRETE.replace("horizon = 6", "horizon = 3000"))
+        code, out, _ = run_cli(capsys, "verify", path, "--suite", "identities")
+        assert code == 0
+        rows = rows_of(out)
+        assert [r["status"] for r in rows] == ["pass"] * 4
+        assert all(float(r["max_rel_error"]) <= 1e-12 for r in rows)
+
+    def test_identities_suite_reports_failure_rows(self, tmp_path, capsys, monkeypatch):
+        from cpb import discrete
+
+        true_ratios = discrete.shift_ratios
+
+        def skewed(model, l):
+            r = true_ratios(model, l)
+            return discrete.ShiftRatios(r.alpha, r.gamma, r.delta * 1.01)
+
+        monkeypatch.setattr(discrete, "shift_ratios", skewed)
+        path = write(tmp_path, "disc.cfg", DISCRETE)
+        code, out, err = run_cli(capsys, "verify", path, "--suite", "identities")
+        assert code == cli.EXIT_SUITE_FAILURE
+        status = {r["quantity"]: r["status"] for r in rows_of(out)}
+        assert status == {"alpha": "pass", "gamma_mid": "pass", "gamma_tail": "pass", "delta": "fail"}
+        assert "Traceback" not in err
+
     def test_convergence_suite(self, tmp_path, capsys):
         path = write(tmp_path, "closed.cfg", CLOSED_FORM)
         code, out, _ = run_cli(capsys, "verify", path, "--suite", "convergence",

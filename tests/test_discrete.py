@@ -152,14 +152,12 @@ class TestPosteriorSurvival:
                 brute_force_posterior(model, h), abs=1e-12
             )
 
-    def test_linear_and_log_paths_agree(self):
-        # the engine switches representation on long horizons; both paths
-        # must produce the same posterior on any instance
-        from cpb.discrete import _linear_weights, _log_joint_weights
-
+    def test_matches_enumeration_across_horizons(self):
+        # one log-space pass serves every horizon; compare with the
+        # plain-float enumeration well past 50 slots
         rng = np.random.default_rng(41)
         for _ in range(50):
-            n = int(rng.integers(2, 40))
+            n = int(rng.integers(2, 61))
             k = int(rng.integers(0, min(6, n) + 1))
             slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             model = make_model(
@@ -168,13 +166,9 @@ class TestPosteriorSurvival:
                 post=rng.uniform(0.05, 0.9),
             )
             h = DiscreteHistory(n, slots)
-            weights, tail = _linear_weights(model, h)
-            linear = tail / (tail + weights.sum())
-            log_w, log_tail = _log_joint_weights(model, h)
-            log_based = 1.0 / (1.0 + math.exp(
-                (np.logaddexp.reduce(log_w)) - log_tail
-            ))
-            assert linear == pytest.approx(log_based, rel=1e-12)
+            assert posterior_survival(model, h) == pytest.approx(
+                enumeration_posterior(model, h), rel=1e-12
+            )
 
     def test_long_horizon_log_path_consistent(self):
         model = make_model()
@@ -226,6 +220,29 @@ class TestStepIntensity:
             slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             mu = step_intensity(model, DiscreteHistory(n, slots))
             assert min(pre, post) - 1e-15 <= mu <= max(pre, post) + 1e-15
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.floats(1e-8, 1.0 - 1e-8), st.floats(1e-8, 1.0 - 1e-8)),
+                 min_size=1, max_size=3),
+        st.lists(st.floats(1e-8, 0.5), min_size=1, max_size=3),
+    )
+    def test_finite_and_bounded_at_extremes(self, n, density, seed, rate_pairs, hazards):
+        pre_rates, post_rates = zip(*rate_pairs)
+        model = DiscreteModel(
+            RateSchedule(pre_rates, post_rates), ChangePointLaw.discrete_hazard(tuple(hazards))
+        )
+        hits = np.random.default_rng(seed).random(n) < density
+        h = DiscreteHistory(n, tuple(int(r) for r in np.flatnonzero(hits) + 1))
+        s = posterior_survival(model, h)
+        assert math.isfinite(s) and 0.0 <= s <= 1.0
+        pre, post = model.rates.pre(h.count), model.rates.post(h.count)
+        mu = step_intensity(model, h)
+        assert min(pre, post) * (1 - 1e-15) <= mu <= max(pre, post) * (1 + 1e-15)
 
 
 class TestShiftRatios:
