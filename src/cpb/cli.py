@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     History,
     IncomparableHistoriesError,
     InvalidScheduleError,
+    LAWS,
     PosteriorResult,
     PreconditionError,
     RateSchedule,
@@ -75,7 +76,7 @@ class ModelConfig:
 
 _KNOWN_KEYS = {
     "rates": {"pre", "post", "tail"},
-    "changepoint": {"family", "rate", "shape", "scale", "location", "knots", "values", "tail"},
+    "changepoint": {"family"} | {f.name for law in LAWS.values() for f in fields(law)},
     "history": {"horizon", "arrivals"},
     "run": {"seed", "tolerance", "instances"},
 }
@@ -84,6 +85,27 @@ _KNOWN_KEYS = {
 def _split_list(raw: str) -> list[str]:
     parts = [p for chunk in raw.split(",") for p in chunk.split()]
     return [p for p in parts if p]
+
+
+def _parse_param(raw: str, declared: str):
+    """A law parameter from its config text, by the field's declared type:
+    a float, a list of floats, or a list of time:probability pairs."""
+    if not declared.startswith("tuple["):
+        return float(raw)
+    if not declared.startswith("tuple[tuple["):
+        return tuple(float(p) for p in _split_list(raw))
+    pairs = [item.partition(":") for item in _split_list(raw)]
+    for s, sep, _ in pairs:
+        if not sep:
+            raise ValueError(f"knot {s!r} must look like time:probability")
+    return tuple((float(s), float(g)) for s, _, g in pairs)
+
+
+def _param_text(value, sep: str) -> str:
+    """A law parameter as text: list items joined by sep, pairs by ':'."""
+    if isinstance(value, tuple):
+        return sep.join(_param_text(v, ":") for v in value)
+    return _fmt(value)
 
 
 def parse_config(text: str, source: str = "<config>") -> ModelConfig:
@@ -140,36 +162,20 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
 
     # changepoint
     family_raw, family_line = need("changepoint", "family")
-    family = family_raw.lower()
+    law_cls = LAWS.get(family_raw.lower().replace("_", "-"))
+    if law_cls is None:
+        raise ConfigError(source, family_line, f"unknown changepoint family {family_raw!r}")
+    params = {}
+    for f in fields(law_cls):
+        if f.default is not MISSING and f.name not in sections["changepoint"]:
+            continue
+        raw, line = need("changepoint", f.name)
+        try:
+            params[f.name] = _parse_param(raw, f.type)
+        except ValueError as exc:
+            raise ConfigError(source, line, f"bad {f.name}: {exc}") from None
     try:
-        if family == "exponential":
-            rate_raw, line = need("changepoint", "rate")
-            law = ChangePointLaw.exponential(float(rate_raw))
-        elif family == "weibull":
-            shape_raw, line = need("changepoint", "shape")
-            scale_raw, _ = need("changepoint", "scale")
-            law = ChangePointLaw.weibull(float(shape_raw), float(scale_raw))
-        elif family in ("point-mass", "point_mass"):
-            loc_raw, line = need("changepoint", "location")
-            law = ChangePointLaw.point_mass(float(loc_raw))
-        elif family == "table":
-            knots_raw, line = need("changepoint", "knots")
-            pairs = []
-            for item in _split_list(knots_raw):
-                s, _, g = item.partition(":")
-                if not g:
-                    raise ConfigError(source, line, f"knot {item!r} must look like time:probability")
-                pairs.append((float(s), float(g)))
-            law = ChangePointLaw.table(pairs)
-        elif family == "hazard":
-            values_raw, line = need("changepoint", "values")
-            tail_h_raw, _ = get("changepoint", "tail")
-            tail_h = float(tail_h_raw) if tail_h_raw is not None else None
-            law = ChangePointLaw.discrete_hazard(floats(values_raw, line, "hazard values"), tail_h)
-        else:
-            raise ConfigError(source, family_line, f"unknown changepoint family {family_raw!r}")
-    except ConfigError:
-        raise
+        law = law_cls(**params)
     except ValueError as exc:
         raise ConfigError(source, family_line, str(exc)) from None
 
@@ -225,20 +231,9 @@ def emit_config(config: ModelConfig) -> str:
     lines.append(f"tail = {config.rates.tail_mode}")
     lines.append("")
     lines.append("[changepoint]")
-    law = config.law
-    lines.append(f"family = {law.family}")
-    if law.family == "exponential":
-        lines.append(f"rate = {_fmt(law.rate)}")
-    elif law.family == "weibull":
-        lines.append(f"shape = {_fmt(law.shape)}")
-        lines.append(f"scale = {_fmt(law.scale)}")
-    elif law.family == "point-mass":
-        lines.append(f"location = {_fmt(law.location)}")
-    elif law.family == "table":
-        lines.append("knots = " + ", ".join(f"{_fmt(s)}:{_fmt(g)}" for s, g in law.knots))
-    else:
-        lines.append("values = " + ", ".join(_fmt(v) for v in law.hazards))
-        lines.append(f"tail = {_fmt(law.hazard_tail)}")
+    lines.append(f"family = {config.law.family}")
+    for name, value in config.law.params().items():
+        lines.append(f"{name} = {_param_text(value, ', ')}")
     if config.history is not None:
         lines.append("")
         lines.append("[history]")
@@ -370,16 +365,8 @@ def cmd_verify(args) -> int:
 
 
 def _describe_witness(w: verify.Witness) -> str:
-    model = w.model
-    law = model.law
-    if law.family == "exponential":
-        law_repr = f"exponential({_fmt(law.rate)})"
-    elif law.family == "weibull":
-        law_repr = f"weibull({_fmt(law.shape)};{_fmt(law.scale)})"
-    elif law.family == "hazard":
-        law_repr = "hazard(" + ";".join(_fmt(v) for v in law.hazards) + ")"
-    else:
-        law_repr = law.family
+    model, law = w.model, w.model.law
+    law_repr = f"{law.family}(" + ";".join(_param_text(v, " ") for v in law.params().values()) + ")"
     def side(h):
         if isinstance(h, History):
             return f"t={_fmt(h.horizon)} arr=" + ";".join(_fmt(x) for x in h.arrivals)

@@ -4,9 +4,10 @@ Given an observed history, the conditional likelihood of "the switch
 happened at u" factorises into the active rate at each arrival instant
 times the exponential of minus the integrated active rate over the window.
 Between consecutive arrival instants the log likelihood is affine in u, so
-the posterior reduces to per-stretch integrals against the switch law:
-closed form for the exponential and table families, adaptive quadrature
-for the weibull density, exact evaluation for point masses.
+the posterior reduces to per-stretch integrals against the switch law,
+which each law class gives as ``segment_integral``: closed form for the
+exponential and table families, adaptive quadrature for the weibull
+density, exact evaluation for point masses.
 
 The engine evaluates them in one forward pass over the arrivals, the
 continuous form of Shiryaev's Bayesian change-point filter.  The pass
@@ -21,7 +22,6 @@ switch time and is kept as a test oracle only.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,12 +30,15 @@ import numpy as np
 from .core import (
     ChangePointLaw,
     DiscreteHistory,
+    Exponential,
     History,
     InvalidScheduleError,
     PosteriorResult,
     PreconditionError,
     RateSchedule,
     TAIL_REPEAT,
+    _log,
+    _log_add,
     survival_from_log_masses,
 )
 from .discrete import DiscreteModel
@@ -55,9 +58,6 @@ __all__ = [
     "snap_history",
     "convergence_study",
 ]
-
-_QUAD_REL_TOL = 1e-11
-
 
 @dataclass(frozen=True)
 class ContinuousModel:
@@ -130,112 +130,6 @@ def likelihood_given_changepoint(model: ContinuousModel, h: History, u: float) -
     return math.exp(log_likelihood_given_changepoint(model, h, u))
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _log_add(x: float, y: float) -> float:
-    """log(exp(x) + exp(y)) without overflow."""
-    if x < y:
-        x, y = y, x
-    if y == -math.inf:
-        return x
-    return x + math.log1p(math.exp(y - x))
-
-
-def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
-    """log of the integral of an exponential-of-affine function over a segment.
-
-    Takes the log-integrand values at the two endpoints and the segment
-    width; stable for any slope sign and for nearly flat integrands.
-    """
-    if width <= 0.0:
-        return -math.inf
-    if log_a == -math.inf and log_b == -math.inf:
-        return -math.inf
-    d = log_b - log_a
-    if abs(d) < 1e-7:
-        # flat piece: midpoint value, relative error below d^2/24
-        return 0.5 * (log_a + log_b) + math.log(width)
-    hi = max(log_a, log_b)
-    return hi + math.log1p(-math.exp(-abs(d))) - math.log(abs(d)) + math.log(width)
-
-
-def _segment_integral(law: ChangePointLaw):
-    """The law's segment integral: (a, b, la, lb, slope) -> log mass.
-
-    The integrand is exp(la + slope * (u - a)) on the switch times u in
-    (a, b], with la and lb its log values at the two ends, weighted by the
-    switch law: in closed form for the exponential and table families, by
-    adaptive quadrature for the weibull density, exactly for a point mass.
-    """
-    if law.family == "exponential":
-        rho = law.rate
-        log_rho = math.log(rho)
-
-        def integral(a, b, la, lb, slope):
-            return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
-
-    elif law.family == "table":
-        knots = law.knots
-        times = [s for s, _ in knots]
-
-        def integral(a, b, la, lb, slope):
-            total = -math.inf
-            for s0, s1, dens in _table_density_pieces(knots, times, a, b):
-                if dens > 0.0:
-                    log_d = math.log(dens)
-                    total = _log_add(total, _log_integral_affine(
-                        la + slope * (s0 - a) + log_d, la + slope * (s1 - a) + log_d, s1 - s0))
-            return total
-
-    elif law.family == "weibull":
-        # only this branch needs scipy; importing it lazily keeps it off
-        # the import time of every command
-        from scipy import integrate
-
-        shape, scale = law.shape, law.scale
-
-        def pdf(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            z = u / scale
-            return (shape / scale) * z ** (shape - 1.0) * math.exp(-(z**shape))
-
-        def integral(a, b, la, lb, slope):
-            shift = max(la, lb)
-            value, _ = integrate.quad(
-                lambda u: math.exp(la + slope * (u - a) - shift) * pdf(u),
-                a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200,
-            )
-            return shift + math.log(value) if value > 0.0 else -math.inf
-
-    elif law.family == "point-mass":
-        u0 = law.location
-
-        def integral(a, b, la, lb, slope):
-            if u0 == b:
-                return lb
-            return la + slope * (u0 - a) if a < u0 < b else -math.inf
-
-    else:
-        raise InvalidScheduleError(f"no segment integral for family {law.family!r}")
-    return integral
-
-
-def _table_density_pieces(knots, times, a: float, b: float):
-    """Constant-density sub-segments of (a, b) under a table law.
-
-    ``times`` lists the knot times; a bisection finds the knot interval
-    holding a, so the cost is O(log knots) plus the pieces yielded.
-    """
-    j = bisect.bisect_right(times, a)
-    while j < len(knots) and times[j - 1] < b:
-        (s0, g0), (s1, g1) = knots[j - 1], knots[j]
-        yield max(a, s0), min(b, s1), (g1 - g0) / (s1 - s0)
-        j += 1
-
-
 def _forward(model: ContinuousModel, h: History):
     """One pass over the arrivals: yields (instant, log_change, log_stay).
 
@@ -252,7 +146,7 @@ def _forward(model: ContinuousModel, h: History):
     that ends there.  Each step costs O(1) (O(log knots) for a table law).
     """
     rates = model.rates
-    integral = _segment_integral(model.law)
+    integral = model.law.segment_integral
     log_stay, log_change = 0.0, -math.inf
     a = 0.0
     k = h.count
@@ -368,7 +262,7 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
             f"{model.rates.max_rate() / m:.3g}"
         )
     law = model.law
-    if law.family == "exponential":
+    if isinstance(law, Exponential):
         # memoryless: one cell value repeats exactly, any slot count is covered
         cell = -math.expm1(-law.rate / m)
         disc_law = ChangePointLaw.discrete_hazard((cell,), tail=cell)

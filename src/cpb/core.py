@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 __all__ = [
     "TAIL_REPEAT",
@@ -26,6 +27,7 @@ __all__ = [
     "SearchFailureError",
     "RateSchedule",
     "ChangePointLaw",
+    "Exponential", "Weibull", "PointMass", "Table", "Hazard", "LAWS",
     "History",
     "DiscreteHistory",
     "PosteriorResult",
@@ -64,6 +66,10 @@ class DegenerateModelError(ValueError):
 
 class SearchFailureError(RuntimeError):
     """A grid search did not locate a configuration it was asked to find."""
+
+
+# relative tolerance of the adaptive quadrature in the weibull segment integral
+_QUAD_REL_TOL = 1e-11
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -153,179 +159,258 @@ class RateSchedule:
 class ChangePointLaw:
     """Distribution of the unobservable switch time.
 
-    Continuous families: ``exponential`` (rate), ``weibull`` (shape, scale),
-    ``point-mass`` (all mass at one instant), ``table`` (a piecewise-linear
-    distribution function through the given (time, probability) knots; the
-    linear interpolation between knots is part of the law's definition).
+    One frozen dataclass per family.  Its fields are its parameters
+    (``params()``, and the keys of a config file), and it validates them.
+    The continuous families ``Exponential``, ``Weibull``, ``PointMass`` and
+    ``Table`` give ``cdf``, ``sf``, ``log_sf``, ``ppf``, ``scaled_time`` and
+    ``segment_integral(a, b, la, lb, slope)``: the log of the integral of
+    exp(la + slope (u - a)) against the law over the switch times u in
+    (a, b], with la and lb the integrand's log values at a and b.  The
+    discrete family ``Hazard`` gives ``hazard``, ``log_no_change_through``,
+    ``no_change_through`` and ``change_mass``.  An operation of the other
+    kind raises ValueError.
 
-    The discrete family ``hazard`` describes an integer-slot switch time
-    through per-slot switch probabilities: entry m is the probability of
-    switching at slot m given no switch before, and ``hazard_tail`` repeats
-    past the listed slots so tail probabilities stay computable for any
-    horizon.
+    A new family is one subclass plus its entry in ``LAWS``.  The
+    constructors ``ChangePointLaw.exponential``, ``.weibull``,
+    ``.point_mass``, ``.table`` and ``.discrete_hazard`` are the classes.
     """
 
-    family: str
-    rate: float | None = None
-    shape: float | None = None
-    scale: float | None = None
-    location: float | None = None
-    knots: tuple[tuple[float, float], ...] | None = None
-    hazards: tuple[float, ...] | None = None
-    hazard_tail: float | None = None
+    family: ClassVar[str]
+    kind: ClassVar[str] = "continuous"
 
-    # -- constructors ---------------------------------------------------
+    def __post_init__(self):
+        # the default rule: every parameter is a positive number
+        for name, value in self.params().items():
+            if value <= 0.0:
+                raise ValueError(f"{self.family} {name} must be positive, got {value}")
 
-    @classmethod
-    def exponential(cls, rate: float) -> "ChangePointLaw":
-        if rate <= 0.0:
-            raise ValueError(f"exponential rate must be positive, got {rate}")
-        return cls(family="exponential", rate=float(rate))
+    def params(self) -> dict:
+        """The law's parameters by field name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def weibull(cls, shape: float, scale: float) -> "ChangePointLaw":
-        if shape <= 0.0 or scale <= 0.0:
-            raise ValueError(f"weibull shape/scale must be positive, got {shape}, {scale}")
-        return cls(family="weibull", shape=float(shape), scale=float(scale))
+    def _other_kind(self, *args):
+        raise ValueError(f"operation does not apply to a {self.kind} law ({self.family})")
 
-    @classmethod
-    def point_mass(cls, location: float) -> "ChangePointLaw":
-        if location <= 0.0:
-            raise ValueError(f"point mass location must be positive, got {location}")
-        return cls(family="point-mass", location=float(location))
-
-    @classmethod
-    def table(cls, knots) -> "ChangePointLaw":
-        pts = tuple((float(s), float(g)) for s, g in knots)
-        if not pts:
-            raise ValueError("table law needs at least one knot")
-        if pts[0] != (0.0, 0.0):
-            pts = ((0.0, 0.0),) + pts
-        for (s0, g0), (s1, g1) in zip(pts, pts[1:]):
-            if s1 <= s0:
-                raise ValueError(f"table times must strictly increase, got {s0} then {s1}")
-            if g1 < g0:
-                raise ValueError(f"table values must be nondecreasing, got {g0} then {g1}")
-        for s, g in pts:
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"table value {g} outside [0, 1]")
-        if pts[-1][1] != 1.0:
-            raise ValueError("table law must reach probability 1 at its last knot")
-        return cls(family="table", knots=pts)
-
-    @classmethod
-    def discrete_hazard(cls, values, tail: float | None = None) -> "ChangePointLaw":
-        vals = _as_float_tuple(values)
-        if not vals:
-            raise ValueError("discrete hazard needs at least one entry")
-        t = float(tail) if tail is not None else vals[-1]
-        for m, v in enumerate(vals + (t,)):
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"per-slot switch probability must lie in (0, 1), got {v} at {m}")
-        return cls(family="hazard", hazards=vals, hazard_tail=t)
-
-    # -- shared ----------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return "discrete" if self.family == "hazard" else "continuous"
-
-    def _require(self, kind: str):
-        if self.kind != kind:
-            raise ValueError(f"operation needs a {kind} law, this one is {self.kind}")
-
-    # -- continuous interface ---------------------------------------------
-
-    def cdf(self, x: float) -> float:
-        """Probability that the switch happens at or before x."""
-        self._require("continuous")
-        if x <= 0.0:
-            return 0.0
-        if self.family == "exponential":
-            return -math.expm1(-self.rate * x)
-        if self.family == "weibull":
-            return -math.expm1(-((x / self.scale) ** self.shape))
-        if self.family == "point-mass":
-            return 1.0 if x >= self.location else 0.0
-        # table: linear interpolation, clamped at 1 beyond the last knot
-        pts = self.knots
-        if x >= pts[-1][0]:
-            return 1.0
-        j = bisect.bisect_left(pts, (x,))  # first knot at or after x
-        (s0, g0), (s1, g1) = pts[j - 1], pts[j]
-        return g0 + (g1 - g0) * (x - s0) / (s1 - s0)
+    cdf = _ppf = _scaled_time = segment_integral = _other_kind
+    hazard = log_no_change_through = no_change_through = change_mass = _other_kind
 
     def sf(self, x: float) -> float:
         """Probability that the switch happens strictly after x."""
         return 1.0 - self.cdf(x)
 
     def log_sf(self, x: float) -> float:
-        self._require("continuous")
-        if x <= 0.0:
-            return 0.0
-        if self.family == "exponential":
-            return -self.rate * x
-        if self.family == "weibull":
-            return -((x / self.scale) ** self.shape)
-        s = self.sf(x)
-        return math.log(s) if s > 0.0 else -math.inf
+        return _log(self.sf(x))
 
     def ppf(self, q: float) -> float:
         """Quantile function; inverts the distribution function."""
-        self._require("continuous")
         if not 0.0 <= q < 1.0:
             raise ValueError(f"quantile level must lie in [0, 1), got {q}")
-        if self.family == "exponential":
-            return -math.log1p(-q) / self.rate
-        if self.family == "weibull":
-            return self.scale * (-math.log1p(-q)) ** (1.0 / self.shape)
-        if self.family == "point-mass":
-            return self.location
-        pts = self.knots
-        if q <= 0.0:
-            return pts[0][0]
-        for (s0, g0), (s1, g1) in zip(pts, pts[1:]):
-            if q <= g1:
-                if g1 == g0:
-                    continue
-                return s0 + (s1 - s0) * (q - g0) / (g1 - g0)
-        return pts[-1][0]
+        return self._ppf(q)
 
     def scaled_time(self, factor: float) -> "ChangePointLaw":
         """Law of the switch time multiplied by a positive constant."""
-        self._require("continuous")
         if factor <= 0.0:
             raise ValueError(f"time scale factor must be positive, got {factor}")
-        if self.family == "exponential":
-            return ChangePointLaw.exponential(self.rate / factor)
-        if self.family == "weibull":
-            return ChangePointLaw.weibull(self.shape, self.scale * factor)
-        if self.family == "point-mass":
-            return ChangePointLaw.point_mass(self.location * factor)
-        return ChangePointLaw.table(tuple((s * factor, g) for s, g in self.knots))
+        return self._scaled_time(factor)
 
-    # -- discrete interface -------------------------------------------------
+
+@dataclass(frozen=True)
+class Exponential(ChangePointLaw):
+    """Switch time with constant hazard ``rate``."""
+
+    rate: float
+    family = "exponential"
+
+    def cdf(self, x: float) -> float:
+        return -math.expm1(-self.rate * x) if x > 0.0 else 0.0
+
+    def log_sf(self, x: float) -> float:
+        return -self.rate * x if x > 0.0 else 0.0
+
+    def _ppf(self, q: float) -> float:
+        return -math.log1p(-q) / self.rate
+
+    def _scaled_time(self, factor: float) -> "Exponential":
+        return Exponential(self.rate / factor)
+
+    def segment_integral(self, a, b, la, lb, slope):
+        rho, log_rho = self.rate, math.log(self.rate)
+        return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
+
+
+@dataclass(frozen=True)
+class Weibull(ChangePointLaw):
+    """Switch time with survival exp(-(x / scale) ** shape)."""
+
+    shape: float
+    scale: float
+    family = "weibull"
+
+    def cdf(self, x: float) -> float:
+        return -math.expm1(-((x / self.scale) ** self.shape)) if x > 0.0 else 0.0
+
+    def log_sf(self, x: float) -> float:
+        return -((x / self.scale) ** self.shape) if x > 0.0 else 0.0
+
+    def _ppf(self, q: float) -> float:
+        return self.scale * (-math.log1p(-q)) ** (1.0 / self.shape)
+
+    def _scaled_time(self, factor: float) -> "Weibull":
+        return Weibull(self.shape, self.scale * factor)
+
+    def segment_integral(self, a, b, la, lb, slope):
+        # only this family needs scipy; importing it lazily keeps it off
+        # the import time of every command
+        from scipy import integrate
+
+        shape, scale = self.shape, self.scale
+
+        def pdf(u: float) -> float:
+            if u <= 0.0:
+                return 0.0
+            z = u / scale
+            return (shape / scale) * z ** (shape - 1.0) * math.exp(-(z**shape))
+
+        shift = max(la, lb)
+        value, _ = integrate.quad(
+            lambda u: math.exp(la + slope * (u - a) - shift) * pdf(u),
+            a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200,
+        )
+        return shift + math.log(value) if value > 0.0 else -math.inf
+
+
+@dataclass(frozen=True)
+class PointMass(ChangePointLaw):
+    """Switch exactly at ``location``."""
+
+    location: float
+    family = "point-mass"
+
+    def cdf(self, x: float) -> float:
+        return 1.0 if x >= self.location else 0.0
+
+    def _ppf(self, q: float) -> float:
+        return self.location
+
+    def _scaled_time(self, factor: float) -> "PointMass":
+        return PointMass(self.location * factor)
+
+    def segment_integral(self, a, b, la, lb, slope):
+        """Exact: a switch at b counts, one at a does not."""
+        u0 = self.location
+        if u0 == b:
+            return lb
+        return la + slope * (u0 - a) if a < u0 < b else -math.inf
+
+
+@dataclass(frozen=True)
+class Table(ChangePointLaw):
+    """Piecewise-linear distribution function through (time, probability)
+    knots, reaching 1 at the last; a knot (0, 0) is prepended if missing.
+    The linear interpolation is part of the law's definition."""
+
+    knots: tuple[tuple[float, float], ...]
+    family = "table"
+
+    def __post_init__(self):
+        pts = tuple((float(s), float(g)) for s, g in self.knots)
+        if not pts:
+            raise ValueError("table law needs at least one knot")
+        if pts[0] != (0.0, 0.0):
+            pts = ((0.0, 0.0),) + pts
+        # from (0, 0), nondecreasing values that end at 1 stay within [0, 1]
+        for (s0, g0), (s1, g1) in zip(pts, pts[1:]):
+            if not s0 < s1:
+                raise ValueError(f"table times must strictly increase, got {s0} then {s1}")
+            if not g0 <= g1:
+                raise ValueError(f"table values must be nondecreasing, got {g0} then {g1}")
+        if pts[-1][1] != 1.0:
+            raise ValueError("table law must reach probability 1 at its last knot")
+        object.__setattr__(self, "knots", pts)
+
+    def _piece(self, x: float):
+        """The knots on either side of x, for 0 < x < the last knot time."""
+        j = bisect.bisect_left(self.knots, (x,))  # first knot at or after x
+        return self.knots[j - 1], self.knots[j]
+
+    def cdf(self, x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        if x >= self.knots[-1][0]:
+            return 1.0
+        (s0, g0), (s1, g1) = self._piece(x)
+        return g0 + (g1 - g0) * (x - s0) / (s1 - s0)
+
+    def sf(self, x: float) -> float:
+        # from the right-hand knot: 1 - cdf loses every digit near the last
+        if x <= 0.0:
+            return 1.0
+        if x >= self.knots[-1][0]:
+            return 0.0
+        (s0, g0), (s1, g1) = self._piece(x)
+        return (1.0 - g1) + (g1 - g0) * (s1 - x) / (s1 - s0)
+
+    def _ppf(self, q: float) -> float:
+        if q <= 0.0:
+            return 0.0
+        # the first knot reaching q ends a rising interval
+        j = bisect.bisect_left([g for _, g in self.knots], q)
+        (s0, g0), (s1, g1) = self.knots[j - 1], self.knots[j]
+        return s0 + (s1 - s0) * (q - g0) / (g1 - g0)
+
+    def _scaled_time(self, factor: float) -> "Table":
+        return Table(tuple((s * factor, g) for s, g in self.knots))
+
+    def segment_integral(self, a, b, la, lb, slope):
+        # closed form on each knot interval that (a, b) meets
+        knots = self.knots
+        total = -math.inf
+        j = bisect.bisect_right(knots, (a, math.inf))  # first knot after a
+        while j < len(knots) and knots[j - 1][0] < b:
+            (s0, g0), (s1, g1) = knots[j - 1], knots[j]
+            lo, hi, dens = max(a, s0), min(b, s1), (g1 - g0) / (s1 - s0)
+            if dens > 0.0:
+                log_d = math.log(dens)
+                total = _log_add(total, _log_integral_affine(
+                    la + slope * (lo - a) + log_d, la + slope * (hi - a) + log_d, hi - lo))
+            j += 1
+        return total
+
+
+@dataclass(frozen=True)
+class Hazard(ChangePointLaw):
+    """Integer-slot switch time: entry m of ``values`` is the probability of
+    switching at slot m given no switch before, and ``tail`` (default: the
+    last value) repeats past them, so any horizon is covered."""
+
+    values: tuple[float, ...]
+    tail: float | None = None
+    family = "hazard"
+    kind = "discrete"
+
+    def __post_init__(self):
+        vals = _as_float_tuple(self.values)
+        if not vals:
+            raise ValueError("discrete hazard needs at least one entry")
+        t = float(self.tail) if self.tail is not None else vals[-1]
+        for m, v in enumerate(vals + (t,)):
+            if not 0.0 < v < 1.0:
+                raise ValueError(f"per-slot switch probability must lie in (0, 1), got {v} at {m}")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "tail", t)
 
     def hazard(self, m: int) -> float:
         """Per-slot switch probability at slot m (1-based, tail-extended)."""
-        self._require("discrete")
         if m < 1:
             raise IndexError(f"slot index must be >= 1, got {m}")
-        if m <= len(self.hazards):
-            return self.hazards[m - 1]
-        return self.hazard_tail
+        return self.values[m - 1] if m <= len(self.values) else self.tail
 
     def log_no_change_through(self, n: int) -> float:
         """log P(switch slot > n): sum of log(1 - hazard) over slots 1..n."""
-        self._require("discrete")
         if n < 0:
             raise IndexError(f"slot count must be nonnegative, got {n}")
-        listed = self.hazards[: min(n, len(self.hazards))]
-        total = sum(math.log1p(-v) for v in listed)
-        extra = n - len(listed)
-        if extra > 0:
-            total += extra * math.log1p(-self.hazard_tail)
-        return total
+        listed = self.values[:n]
+        return sum(math.log1p(-v) for v in listed) + (n - len(listed)) * math.log1p(-self.tail)
 
     def no_change_through(self, n: int) -> float:
         """P(switch slot > n)."""
@@ -334,6 +419,45 @@ class ChangePointLaw:
     def change_mass(self, j: int) -> float:
         """P(switch happens exactly at slot j)."""
         return self.hazard(j) * self.no_change_through(j - 1)
+
+
+LAWS = {cls.family: cls for cls in (Exponential, Weibull, PointMass, Table, Hazard)}
+ChangePointLaw.exponential = Exponential
+ChangePointLaw.weibull = Weibull
+ChangePointLaw.point_mass = PointMass
+ChangePointLaw.table = Table
+ChangePointLaw.discrete_hazard = Hazard
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_add(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) without overflow."""
+    if x < y:
+        x, y = y, x
+    if y == -math.inf:
+        return x
+    return x + math.log1p(math.exp(y - x))
+
+
+def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
+    """log of the integral of an exponential-of-affine function over a segment.
+
+    Takes the log-integrand values at the two endpoints and the segment
+    width; stable for any slope sign and for nearly flat integrands.
+    """
+    if width <= 0.0:
+        return -math.inf
+    if log_a == -math.inf and log_b == -math.inf:
+        return -math.inf
+    d = log_b - log_a
+    if abs(d) < 1e-7:
+        # flat piece: midpoint value, relative error below d^2/24
+        return 0.5 * (log_a + log_b) + math.log(width)
+    hi = max(log_a, log_b)
+    return hi + math.log1p(-math.exp(-abs(d))) - math.log(abs(d)) + math.log(width)
 
 
 @dataclass(frozen=True)

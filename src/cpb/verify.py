@@ -47,30 +47,24 @@ __all__ = [
 ]
 
 
+# Sweep sampler ranges: per-slot probabilities and slots (discrete engine),
+# rates and horizons (continuous), listed counts, and the weibull share.
+RATE_LOW, RATE_HIGH = 0.05, 0.5
+SLOT_LOW, SLOT_HIGH = 4, 16
+CONT_RATE_LOW, CONT_RATE_HIGH = 0.2, 2.0
+HORIZON_LOW, HORIZON_HIGH = 0.5, 3.0
+MAX_COUNT = 5
+WEIBULL_SHARE = 0.25
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Knobs for one randomized monotonicity sweep.
-
-    ``engine`` picks the evaluation path ("discrete" or "continuous").
-    Rate bounds are per-slot probabilities for the discrete engine and
-    plain rates for the continuous one; horizon bounds apply to the
-    continuous engine, slot bounds to the discrete.
-    """
+    """Knobs for one randomized monotonicity sweep on ``engine``, "discrete" or "continuous"."""
 
     engine: str = "discrete"
     instances: int = 10_000
     seed: int = 0
-    rate_low: float = 0.05
-    rate_high: float = 0.5
-    cont_rate_low: float = 0.2
-    cont_rate_high: float = 2.0
-    horizon_low: float = 0.5
-    horizon_high: float = 3.0
-    slot_low: int = 4
-    slot_high: int = 16
-    max_count: int = 5
     tolerance: float = 1e-12
-    weibull_share: float = 0.25
     # continuous engine only: additionally require strictly increasing rate
     # gaps.  Dominance alone does NOT imply the monotonicity (schedules whose
     # early-count gap dwarfs later ones reverse it); the increasing-gap
@@ -143,8 +137,8 @@ def _sample_discrete_model(cfg: SweepConfig, rng: np.random.Generator) -> disc.D
     nondecreasing gap sequence satisfies it by construction.
     """
     for _ in range(100):
-        size = int(rng.integers(2, cfg.max_count + 2))
-        s_pre = -np.log1p(-rng.uniform(cfg.rate_low, cfg.rate_high, size=size))
+        size = int(rng.integers(2, MAX_COUNT + 2))
+        s_pre = -np.log1p(-rng.uniform(RATE_LOW, RATE_HIGH, size=size))
         gap = rng.uniform(0.05, 0.4) + np.concatenate(
             ([0.0], np.cumsum(rng.uniform(0.0, 0.3, size=size - 1)))
         )
@@ -154,7 +148,7 @@ def _sample_discrete_model(cfg: SweepConfig, rng: np.random.Generator) -> disc.D
         rates = RateSchedule(pre, post)
         hazards = tuple(rng.uniform(0.02, 0.4, size=int(rng.integers(1, 4))))
         model = disc.DiscreteModel(rates, ChangePointLaw.discrete_hazard(hazards))
-        report = validate_rates(rates, bound=cfg.slot_high + cfg.max_count)
+        report = validate_rates(rates, bound=SLOT_HIGH + MAX_COUNT)
         if report.plo and report.ser:
             return model
     raise SearchFailureError("discrete model sampler kept producing inadmissible schedules")
@@ -168,15 +162,15 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
     dominance is only required broadly).
     """
     for _ in range(100):
-        size = int(rng.integers(2, cfg.max_count + 2))
-        pre = rng.uniform(cfg.cont_rate_low, cfg.cont_rate_high, size=size)
+        size = int(rng.integers(2, MAX_COUNT + 2))
+        pre = rng.uniform(CONT_RATE_LOW, CONT_RATE_HIGH, size=size)
         if cfg.require_catania:
             gaps = np.cumsum(rng.uniform(0.02, 0.8, size=size))
         else:
-            gaps = rng.uniform(0.0, cfg.cont_rate_high, size=size)
+            gaps = rng.uniform(0.0, CONT_RATE_HIGH, size=size)
             gaps[rng.random(size) < 0.15] = 0.0
         rates = RateSchedule(tuple(pre), tuple(pre + gaps))
-        if rng.random() < cfg.weibull_share:
+        if rng.random() < WEIBULL_SHARE:
             law = ChangePointLaw.weibull(rng.uniform(0.8, 1.8), rng.uniform(0.5, 2.0))
         else:
             law = ChangePointLaw.exponential(rng.uniform(0.3, 1.5))
@@ -187,8 +181,8 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
 
 
 def _sample_discrete_pair(cfg: SweepConfig, rng: np.random.Generator):
-    n = int(rng.integers(cfg.slot_low, cfg.slot_high + 1))
-    k = int(rng.integers(0, min(cfg.max_count, n) + 1))
+    n = int(rng.integers(SLOT_LOW, SLOT_HIGH + 1))
+    k = int(rng.integers(0, min(MAX_COUNT, n) + 1))
     slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
     low = DiscreteHistory(n, slots)
     high = low
@@ -200,8 +194,8 @@ def _sample_discrete_pair(cfg: SweepConfig, rng: np.random.Generator):
 
 
 def _sample_continuous_pair(cfg: SweepConfig, rng: np.random.Generator):
-    t = rng.uniform(cfg.horizon_low, cfg.horizon_high)
-    k = int(rng.integers(0, cfg.max_count + 1))
+    t = rng.uniform(HORIZON_LOW, HORIZON_HIGH)
+    k = int(rng.integers(0, MAX_COUNT + 1))
     a = np.sort(rng.uniform(0.0, t, size=k))
     b = np.sort(rng.uniform(0.0, t, size=k))
     low = History(t, tuple(np.minimum(a, b)))

@@ -3,11 +3,17 @@
 import csv
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpb import cli
+from cpb import continuous as cont
+from cpb import discrete as disc
+from cpb.core import ChangePointLaw, DiscreteHistory, History, PosteriorResult, RateSchedule
 
 
 CLOSED_FORM = """\
@@ -120,6 +126,13 @@ class TestConfigParsing:
         assert again.rates == config.rates
         assert again.law == config.law
         assert again.history == config.history
+
+    def test_knot_without_colon_cites_line(self):
+        text = CLOSED_FORM.replace("family = exponential\nrate = 1.0",
+                                   "family = table\nknots = 1:0.5, 2")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(text, source="x.cfg")
+        assert "x.cfg:7:" in str(err.value) and "'2'" in str(err.value)
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "broken.cfg", "[rates]\npre = \n")
@@ -412,6 +425,62 @@ class TestTransform:
         assert code == cli.EXIT_PRECONDITION
 
 
+# One config per switch-law family (and the point_mass spelling): config
+# lines and the same law built by the library.
+FAMILIES = {
+    "exponential": (["family = exponential", "rate = 0.4"], ChangePointLaw.exponential(0.4)),
+    "weibull": (["family = weibull", "shape = 1.5", "scale = 2.5"],
+                ChangePointLaw.weibull(1.5, 2.5)),
+    "point-mass": (["family = point-mass", "location = 1.7"], ChangePointLaw.point_mass(1.7)),
+    "point_mass": (["family = point_mass", "location = 1.7"], ChangePointLaw.point_mass(1.7)),
+    "table": (["family = table", "knots = 0.5:0.1, 1.5:0.1, 3:0.7, 4.5:1"],
+              ChangePointLaw.table([(0.5, 0.1), (1.5, 0.1), (3.0, 0.7), (4.5, 1.0)])),
+    "hazard": (["family = hazard", "values = 0.05, 0.1", "tail = 0.2"],
+               ChangePointLaw.discrete_hazard((0.05, 0.1), tail=0.2)),
+}
+
+
+class TestLawFamilies:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_round_trip_and_posterior(self, family, tmp_path, capsys):
+        law_lines, law = FAMILIES[family]
+        if law.kind == "discrete":
+            pre, post, history = 0.1, 0.3, DiscreteHistory(40, (3, 9, 17, 30))
+            text = history_config(pre, post, law_lines, 40, list(history.arrival_slots))
+        else:
+            pre, post, history = 0.8, 2.0, History(4.1, (0.3, 1.2, 2.9, 3.3))
+            text = history_config(pre, post, law_lines, 4.1, list(history.arrivals))
+        rates = RateSchedule((pre,), (post,))
+        config = cli.parse_config(text, source="f.cfg")
+        assert config.law == law
+        again = cli.parse_config(cli.emit_config(config), source="g.cfg")
+        assert (again.law, again.rates, again.history) == (law, rates, history)
+
+        if law.kind == "discrete":
+            model = disc.DiscreteModel(rates, law)
+            expected = PosteriorResult.from_survival(
+                rates, history.count, disc.posterior_survival(model, history))
+            argv = ["--engine", "discrete"]
+        else:
+            expected = cont.intensity(cont.ContinuousModel(rates, law), history)
+            argv = []
+        code, out, err = run_cli(capsys, "posterior", write(tmp_path, "f.cfg", text), *argv)
+        assert code == 0, err
+        (row,) = rows_of(out)
+        assert float(row["prob_before"]) == expected.prob_before
+        assert float(row["intensity"]) == expected.intensity
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is most of the start-up time; only the weibull law needs it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import cpb.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                                check=True, timeout=120)
+        assert result.stdout.strip() == "False"
+
+
 class TestWitnessSerialization:
     def test_description_is_self_contained(self):
         from cpb.core import ChangePointLaw, History, RateSchedule
@@ -428,6 +497,26 @@ class TestWitnessSerialization:
         for fragment in ("pre=1;2", "post=3;4", "exponential(0.75)",
                          "low[t=2 arr=0.5]", "high[t=2 arr=1.5]"):
             assert fragment in text
+
+    @pytest.mark.parametrize("law, fragment", [
+        (ChangePointLaw.weibull(1.5, 2.0), " law=weibull(1.5;2) "),
+        (ChangePointLaw.table([(1.0, 0.25), (3.0, 1.0)]), " law=table(0:0 1:0.25 3:1) "),
+        (ChangePointLaw.point_mass(1.5), " law=point-mass(1.5) "),
+        (ChangePointLaw.discrete_hazard((0.125, 0.25), tail=0.375), " law=hazard(0.125 0.25;0.375) "),
+    ])
+    def test_description_carries_every_law_parameter(self, law, fragment):
+        from cpb.verify import Witness
+
+        if law.kind == "discrete":
+            model = disc.DiscreteModel(RateSchedule((0.25,), (0.5,)), law)
+            low, high = DiscreteHistory(5, (2,)), DiscreteHistory(5, (4,))
+        else:
+            model = cont.ContinuousModel(RateSchedule((1.0,), (3.0,)), law)
+            low, high = History(2.0, (0.5,)), History(2.0, (1.5,))
+        w = Witness(engine=law.kind, model=model, history_low=low, history_high=high,
+                    posterior_low=0.4, posterior_high=0.3,
+                    intensity_low=1.1, intensity_high=1.9, margin=0.1)
+        assert fragment in cli._describe_witness(w)
 
 
 class TestErrorPaths:

@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,23 @@ class TestChangePointLaw:
         assert law.cdf(0.5) == pytest.approx(0.125)  # implicit (0, 0) start knot
         assert law.cdf(2.0) == pytest.approx(0.625)
         assert law.cdf(10.0) == 1.0
+
+    def test_table_survival_exact_near_last_knot(self):
+        # 1 - cdf cancels near the last knot; the survival must keep its digits
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            s1 = float(rng.uniform(0.1, 5.0))
+            s2 = s1 + float(rng.uniform(0.1, 5.0))
+            g1 = float(rng.uniform(0.0, 1.0))
+            x = s2 - s2 * 10.0 ** float(rng.uniform(-15.0, -1.0))
+            if not s1 < x < s2:
+                continue
+            law = ChangePointLaw.table([(s1, g1), (s2, 1.0)])
+            with mp.workdps(50):
+                exact = (1 - mp.mpf(g1)) * (mp.mpf(s2) - mp.mpf(x)) / (mp.mpf(s2) - mp.mpf(s1))
+                sf_err = float(abs(law.sf(x) - exact) / exact)
+                log_err = float(abs(law.log_sf(x) - mp.log(exact)) / abs(mp.log(exact)))
+            assert sf_err < 1e-14 and log_err < 1e-14
 
     def test_table_cdf_at_and_between_knots(self):
         knots = [(0.5, 0.1), (1.5, 0.1), (2.0, 0.6), (4.0, 1.0)]

@@ -100,7 +100,7 @@ class TestTheorem1Sweep:
         from cpb.discrete import brute_force_posterior, posterior_survival
         from cpb.verify import _sample_discrete_model, _sample_discrete_pair
 
-        cfg = SweepConfig(engine="discrete", instances=1, seed=31, slot_high=14)
+        cfg = SweepConfig(engine="discrete", instances=1, seed=31)
         rng = np.random.default_rng(31)
         for _ in range(100):
             model = _sample_discrete_model(cfg, rng)
