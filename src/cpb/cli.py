@@ -295,10 +295,11 @@ def cmd_posterior(args) -> int:
     else:
         model, history = _as_discrete(config, args.m)
         if engine == "oracle":
-            survival = disc.brute_force_posterior(model, history)
+            # the independent check: enumeration, not the engine's own pass
+            result = PosteriorResult.from_survival(
+                model.rates, history.count, disc.brute_force_posterior(model, history))
         else:
-            survival = disc.posterior_survival(model, history)
-        result = PosteriorResult.from_survival(model.rates, history.count, survival)
+            result = disc.intensity(model, history)
     row = [config.scenario, engine, result.prob_before, result.prob_after, result.intensity]
     _write_rows(args.out, ["scenario", "engine", "prob_before", "prob_after", "intensity"], [row])
     return EXIT_OK
@@ -321,47 +322,33 @@ def _as_discrete(config: ModelConfig, m: int | None):
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
-    paths = args.paths
-    rows: list[list] = []
+    # the config's kind fixes the history type, so a history is the only requirement
+    if config.history is None:
+        raise PreconditionError("simulate needs a [history] section with a horizon")
     if config.kind == "continuous":
-        if not isinstance(config.history, History):
-            raise PreconditionError("simulate needs a [history] section with a horizon")
-        model = config.continuous_model()
-        horizon = config.history.horizon
-        for pid in range(paths):
-            sample = cont.sample_path(model, horizon=horizon, seed=np.random.default_rng((seed, pid)))
-            rows.append([pid, sample.change_time, 0, ""])
-            for idx, t in enumerate(sample.arrival_times, start=1):
-                rows.append([pid, sample.change_time, idx, t])
+        model, horizon = config.continuous_model(), config.history.horizon
+
+        def sample(rng):
+            path = cont.sample_path(model, horizon=horizon, seed=rng)
+            return path.change_time, path.arrival_times
     else:
-        if not isinstance(config.history, DiscreteHistory):
-            raise PreconditionError("simulate needs a [history] section with a horizon")
-        model = config.discrete_model()
-        horizon = config.history.horizon_slot
-        for pid in range(paths):
-            change, slots = disc.sample_discrete_path(
-                model, horizon, seed=np.random.default_rng((seed, pid))
-            )
-            change_repr = "" if change is None else change
-            rows.append([pid, change_repr, 0, ""])
-            for idx, s in enumerate(slots, start=1):
-                rows.append([pid, change_repr, idx, s])
+        model, horizon = config.discrete_model(), config.history.horizon_slot
+
+        def sample(rng):
+            return disc.sample_discrete_path(model, horizon, seed=rng)
+
+    rows: list[list] = []
+    for pid in range(args.paths):
+        change, arrivals = sample(np.random.default_rng((seed, pid)))
+        rows.append([pid, change, 0, ""])
+        rows.extend([pid, change, idx, t] for idx, t in enumerate(arrivals, start=1))
     _write_rows(args.out, ["path_id", "change_time", "arrival_index", "arrival_time"], rows)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    suite = args.suite
-    if suite == "theorem1":
-        return _verify_theorem1(config, args)
-    if suite == "counterexample":
-        return _verify_counterexample(config, args)
-    if suite == "identities":
-        return _verify_identities(config, args)
-    if suite == "convergence":
-        return _verify_convergence(config, args)
-    return _verify_timescale(config, args)
+    return _SUITES[args.suite](config, args)
 
 
 def _describe_witness(w: verify.Witness) -> str:
@@ -429,7 +416,7 @@ def _verify_counterexample(config: ModelConfig, args) -> int:
 def _verify_identities(config: ModelConfig, args) -> int:
     model, history = _as_discrete(config, args.m)
     rng = np.random.default_rng(config.seed)
-    worst = {"alpha": 0.0, "gamma_mid": 0.0, "gamma_tail": 0.0, "delta": 0.0}
+    worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
     checked = 0
     attempts = 0
     while checked < config.instances and attempts < config.instances * 20:
@@ -444,12 +431,8 @@ def _verify_identities(config: ModelConfig, args) -> int:
         # the rows below judge each quantity; the function's own check would raise first
         rep = disc.verify_shift_identities(model, h, l, rel_tol=math.inf)
         checked += 1
-        if rep.measured_alpha is not None:
-            worst["alpha"] = max(worst["alpha"], abs(rep.measured_alpha / rep.expected.alpha - 1))
-        if rep.measured_gamma_mid is not None:
-            worst["gamma_mid"] = max(worst["gamma_mid"], abs(rep.measured_gamma_mid / rep.expected.gamma - 1))
-        worst["gamma_tail"] = max(worst["gamma_tail"], abs(rep.measured_gamma_tail / rep.expected.gamma - 1))
-        worst["delta"] = max(worst["delta"], abs(rep.measured_delta / rep.expected.delta - 1))
+        for name, err in rep.rel_errors.items():
+            worst[name] = max(worst[name], err)
     tol = max(config.tolerance, 1e-12)
     rows = [[config.scenario, "discrete", name, err, "pass" if err <= tol else "fail"]
             for name, err in worst.items()]
@@ -545,6 +528,15 @@ def _verify_timescale(config: ModelConfig, args) -> int:
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
+_SUITES = {
+    "theorem1": _verify_theorem1,
+    "counterexample": _verify_counterexample,
+    "identities": _verify_identities,
+    "convergence": _verify_convergence,
+    "timescale": _verify_timescale,
+}
+
+
 def cmd_transform(args) -> int:
     config = load_config(args.config)
     if config.kind != "continuous":
@@ -619,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("config")
-    p.add_argument("--suite", required=True,
-                   choices=["theorem1", "counterexample", "identities", "convergence", "timescale"])
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--M", type=float, default=None,
                    help="counterexample suite: use the built-in two-level preset with this M")
     p.add_argument("--m", type=int, default=None, help="slot grid factor where needed")

@@ -35,6 +35,7 @@ __all__ = [
     "ShiftIdentityReport",
     "joint_weight",
     "posterior_survival",
+    "intensity",
     "step_intensity",
     "shift_ratios",
     "verify_shift_identities",
@@ -78,16 +79,24 @@ class ShiftRatios:
 
 @dataclass(frozen=True)
 class ShiftIdentityReport:
-    """Measured versus predicted weight ratios for one admissible shift."""
+    """Measured versus predicted weight ratios for one admissible shift.
+
+    ``rel_errors`` holds |measured / predicted - 1| per quantity, keyed
+    alpha, gamma_mid, gamma_tail and delta; an empty block has no entry.
+    """
 
     expected: ShiftRatios
     measured_alpha: float | None
     measured_gamma_mid: float | None
     measured_gamma_tail: float
     measured_delta: float
-    max_rel_error: float
+    rel_errors: dict[str, float]
     posterior: float
     posterior_shifted: float
+
+    @property
+    def max_rel_error(self) -> float:
+        return max(self.rel_errors.values())
 
 
 def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float], float]:
@@ -155,13 +164,14 @@ def posterior_survival(model: DiscreteModel, h: DiscreteHistory) -> float:
     return survival_from_log_masses(_logsumexp(log_w), log_tail)
 
 
-def step_intensity(model: DiscreteModel, h: DiscreteHistory) -> float:
-    """Probability of an arrival in the next slot given the history.
+def intensity(model: DiscreteModel, h: DiscreteHistory) -> PosteriorResult:
+    """Next-slot arrival probability: posterior mixture of the two per-slot rates."""
+    return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h))
 
-    Equals the posterior mixture of the two per-slot rates at the current
-    arrival count.
-    """
-    return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h)).intensity
+
+def step_intensity(model: DiscreteModel, h: DiscreteHistory) -> float:
+    """Probability of an arrival in the next slot given the history."""
+    return intensity(model, h).intensity
 
 
 def shift_ratios(model: DiscreteModel, l: int) -> ShiftRatios:
@@ -211,28 +221,25 @@ def verify_shift_identities(
     measured_gamma_tail = math.exp(c1 - c0)
     measured_delta = math.exp(g1 - g0)
 
-    errors = [abs(measured_gamma_tail / expected.gamma - 1.0),
-              abs(measured_delta / expected.delta - 1.0)]
-    if measured_alpha is not None:
-        errors.append(abs(measured_alpha / expected.alpha - 1.0))
-    if measured_gamma_mid is not None:
-        errors.append(abs(measured_gamma_mid / expected.gamma - 1.0))
-    max_rel_error = max(errors)
-    if max_rel_error > rel_tol:
-        raise AssertionError(
-            f"shift identities violated: max relative error {max_rel_error:.3e} > {rel_tol:.1e}"
-        )
-
-    return ShiftIdentityReport(
+    pairs = {"alpha": (measured_alpha, expected.alpha),
+             "gamma_mid": (measured_gamma_mid, expected.gamma),
+             "gamma_tail": (measured_gamma_tail, expected.gamma),
+             "delta": (measured_delta, expected.delta)}
+    report = ShiftIdentityReport(
         expected=expected,
         measured_alpha=measured_alpha,
         measured_gamma_mid=measured_gamma_mid,
         measured_gamma_tail=measured_gamma_tail,
         measured_delta=measured_delta,
-        max_rel_error=max_rel_error,
+        rel_errors={name: abs(m / e - 1.0) for name, (m, e) in pairs.items() if m is not None},
         posterior=survival_from_log_masses(_logsumexp([a0, g0, b0]), c0),
         posterior_shifted=survival_from_log_masses(_logsumexp([a1, g1, b1]), c1),
     )
+    if report.max_rel_error > rel_tol:
+        raise AssertionError(
+            f"shift identities violated: max relative error {report.max_rel_error:.3e} > {rel_tol:.1e}"
+        )
+    return report
 
 
 def brute_force_posterior(model: DiscreteModel, h: DiscreteHistory) -> float:

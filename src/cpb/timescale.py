@@ -53,15 +53,21 @@ class TimeScale:
         return TimeScale(tuple(1.0 / g for g in self.gammas))
 
 
+def _knots(scale: TimeScale, times) -> list[float]:
+    """Rescaled clock readings [0, c1, ..., ck] at time 0 and at each arrival."""
+    knots = [0.0]
+    prev = 0.0
+    for k, t in enumerate(times):
+        knots.append(knots[-1] + scale.gamma(k) * (t - prev))
+        prev = t
+    return knots
+
+
 def _clock(scale: TimeScale, times: tuple[float, ...], x: float) -> float:
     """Rescaled clock reading at original time x along the given arrivals."""
     count = bisect_right(times, x)
-    total = 0.0
-    prev = 0.0
-    for k in range(count):
-        total += scale.gamma(k) * (times[k] - prev)
-        prev = times[k]
-    return total + scale.gamma(count) * (x - prev)
+    prev = times[count - 1] if count else 0.0
+    return _knots(scale, times[:count])[-1] + scale.gamma(count) * (x - prev)
 
 
 def time_map(scale: TimeScale, h: History, t: float) -> float:
@@ -83,13 +89,8 @@ def inverse_time_map(scale: TimeScale, h: History, s: float) -> float:
     top = _clock(scale, h.arrivals, h.horizon)
     if not 0.0 <= s <= top:
         raise ValueError(f"clock value {s} outside [0, {top}]")
-    knots = [0.0]
-    prev = 0.0
-    for k, t in enumerate(h.arrivals):
-        knots.append(knots[-1] + scale.gamma(k) * (t - prev))
-        prev = t
+    knots = _knots(scale, h.arrivals)
     idx = bisect_right(knots, s) - 1
-    idx = min(idx, len(knots) - 1)
     base_t = 0.0 if idx == 0 else h.arrivals[idx - 1]
     return base_t + (s - knots[idx]) / scale.gamma(idx)
 
@@ -102,15 +103,8 @@ def transform_path(scale: TimeScale, path: PathSample) -> PathSample:
     has exactly the original arrival counts at corresponding instants.
     """
     times = path.arrival_times
-    out: list[float] = []
-    total = 0.0
-    prev = 0.0
-    for k, t in enumerate(times):
-        total += scale.gamma(k) * (t - prev)
-        out.append(total)
-        prev = t
     new_change = _clock(scale, times, path.change_time) if math.isfinite(path.change_time) else math.inf
-    return PathSample(change_time=new_change, arrival_times=tuple(out), seed=path.seed)
+    return PathSample(change_time=new_change, arrival_times=tuple(_knots(scale, times)[1:]), seed=path.seed)
 
 
 def transform_rates(scale: TimeScale, rates: RateSchedule) -> RateSchedule:

@@ -22,7 +22,6 @@ from .core import (
     ChangePointLaw,
     DiscreteHistory,
     History,
-    PosteriorResult,
     PreconditionError,
     RateSchedule,
     SearchFailureError,
@@ -55,6 +54,11 @@ CONT_RATE_LOW, CONT_RATE_HIGH = 0.2, 2.0
 HORIZON_LOW, HORIZON_HIGH = 0.5, 3.0
 MAX_COUNT = 5
 WEIBULL_SHARE = 0.25
+
+# Added-arrival search: grid refinement factor around the best coarse cell,
+# and the intensity drop a witness must exceed.
+REFINE = 10
+ADDED_ARRIVAL_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,17 +119,12 @@ class SweepReport:
         return not self.violations
 
 
-def _evaluate_pair(engine: str, model, h_low, h_high):
-    """Posterior and intensity for both histories in the requested engine."""
-    if engine == "discrete":
-        r_low, r_high = (
-            PosteriorResult.from_survival(model.rates, h.count, disc.posterior_survival(model, h))
-            for h in (h_low, h_high)
-        )
-    else:
-        r_low = cont.intensity(model, h_low)
-        r_high = cont.intensity(model, h_high)
-    return r_low.prob_before, r_high.prob_before, r_low.intensity, r_high.intensity
+def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
+    """The four Witness value fields of a history pair in the requested engine."""
+    intensity = disc.intensity if engine == "discrete" else cont.intensity
+    low, high = intensity(model, h_low), intensity(model, h_high)
+    return {"posterior_low": low.prob_before, "posterior_high": high.prob_before,
+            "intensity_low": low.intensity, "intensity_high": high.intensity}
 
 
 def _sample_discrete_model(cfg: SweepConfig, rng: np.random.Generator) -> disc.DiscreteModel:
@@ -211,23 +210,13 @@ def _sweep_instance(cfg: SweepConfig, index: int):
     else:
         model = _sample_continuous_model(cfg, rng)
         h_low, h_high = _sample_continuous_pair(cfg, rng)
-    p_low, p_high, i_low, i_high = _evaluate_pair(cfg.engine, model, h_low, h_high)
-    post_margin = p_low - p_high
-    int_margin = i_high - i_low
+    values = _evaluate_pair(cfg.engine, model, h_low, h_high)
+    post_margin = values["posterior_low"] - values["posterior_high"]
+    int_margin = values["intensity_high"] - values["intensity_low"]
     witness = None
     if post_margin < -cfg.tolerance or int_margin < -cfg.tolerance:
-        witness = Witness(
-            engine=cfg.engine,
-            model=model,
-            history_low=h_low,
-            history_high=h_high,
-            posterior_low=p_low,
-            posterior_high=p_high,
-            intensity_low=i_low,
-            intensity_high=i_high,
-            margin=min(post_margin, int_margin),
-            note="monotonicity violated",
-        )
+        witness = Witness(cfg.engine, model, h_low, h_high, margin=min(post_margin, int_margin),
+                          note="monotonicity violated", **values)
     return post_margin, int_margin, witness
 
 
@@ -270,27 +259,14 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
 
 def reevaluate(witness: Witness) -> Witness:
     """Recompute a witness's values from its own model and histories."""
-    p_low, p_high, i_low, i_high = _evaluate_pair(
-        witness.engine, witness.model, witness.history_low, witness.history_high
-    )
-    return replace(
-        witness,
-        posterior_low=p_low,
-        posterior_high=p_high,
-        intensity_low=i_low,
-        intensity_high=i_high,
-    )
+    return replace(witness, **_evaluate_pair(
+        witness.engine, witness.model, witness.history_low, witness.history_high))
 
 
 # -- added-arrival boundary search --------------------------------------------
 
 
-def added_arrival_search(
-    model: cont.ContinuousModel,
-    t_max: float = 5.0,
-    step: float = 0.05,
-    refine: int = 10,
-):
+def added_arrival_search(model: cont.ContinuousModel, t_max: float = 5.0, step: float = 0.05):
     """Scan (horizon, arrival instant) for an intensity drop after one arrival.
 
     Compares the intensity of a single-arrival history against the empty
@@ -316,7 +292,7 @@ def added_arrival_search(
                 best = (m, float(t), float(t1), mu_one, mu_empty)
     # refine around the best coarse cell
     _, t0, t10, _, _ = best
-    fine = step / refine
+    fine = step / REFINE
     for t in np.arange(max(fine, t0 - step), min(t_max, t0 + step) + fine / 2, fine):
         mu_empty = cont.intensity(model, History(t)).intensity
         for t1 in np.arange(max(fine, t10 - step), min(t - fine, t10 + step) + fine / 2, fine):
@@ -328,9 +304,7 @@ def added_arrival_search(
     return best
 
 
-def counterexample_added_arrival(
-    M: float, t_max: float = 5.0, step: float = 0.05, margin: float = 1e-6
-) -> Witness:
+def counterexample_added_arrival(M: float, t_max: float = 5.0, step: float = 0.05) -> Witness:
     """Search the two-level preset for an added arrival that lowers intensity.
 
     The preset keeps the pre-change rate at 1 for both counts, sets the
@@ -345,36 +319,26 @@ def counterexample_added_arrival(
     model = cont.ContinuousModel(
         RateSchedule((1.0, 1.0), (2.0, float(M))), ChangePointLaw.exponential(1.0)
     )
-    return added_arrival_witness(model, t_max=t_max, step=step, margin=margin)
+    return added_arrival_witness(model, t_max=t_max, step=step)
 
 
-def added_arrival_witness(
-    model: cont.ContinuousModel, t_max: float = 5.0, step: float = 0.05, margin: float = 1e-6
-) -> Witness:
+def added_arrival_witness(model: cont.ContinuousModel, t_max: float = 5.0, step: float = 0.05) -> Witness:
     """The empty history and its one-arrival extension where intensity drops most.
 
     Runs added_arrival_search on the model and raises when no drop beyond
-    the margin exists on the searched grid.
+    ADDED_ARRIVAL_MARGIN exists on the searched grid.
     """
-    found, t, t1, mu_one, mu_empty = added_arrival_search(model, t_max=t_max, step=step)
-    if found >= -margin:
+    found, t, t1, _, _ = added_arrival_search(model, t_max=t_max, step=step)
+    if found >= -ADDED_ARRIVAL_MARGIN:
         raise SearchFailureError(
             f"no intensity drop found: min margin {found:.6g} at t={t:.4g}, t1={t1:.4g} "
             f"(the one-arrival intensity never falls below the empty-history one here)"
         )
-    h_low = History(t)
-    h_high = History(t, (t1,))
+    h_low, h_high = History(t), History(t, (t1,))
     return Witness(
-        engine="continuous",
-        model=model,
-        history_low=h_low,
-        history_high=h_high,
-        posterior_low=cont.posterior_survival(model, h_low),
-        posterior_high=cont.posterior_survival(model, h_high),
-        intensity_low=mu_empty,
-        intensity_high=mu_one,
-        margin=found,
+        "continuous", model, h_low, h_high, margin=found,
         note="arrival counts differ (0 vs 1), so the comparable-history order does not apply",
+        **_evaluate_pair("continuous", model, h_low, h_high),
     )
 
 
@@ -387,46 +351,26 @@ def interval_mismatch_examples() -> tuple[Witness, Witness]:
     equal rates, so the silent evidence is weak and prior decay wins.
     Both directions are verified strictly before being returned.
     """
-    t_short, t_long = 1.0, 3.0
+    h_short, h_long = History(1.0), History(3.0)
+
+    def witness(model, direction: float, note: str, failure: str) -> Witness:
+        # direction +1: the longer window must raise survival; -1: lower it
+        values = _evaluate_pair("continuous", model, h_short, h_long)
+        margin = direction * (values["posterior_high"] - values["posterior_low"])
+        if not margin > 0.0:
+            raise SearchFailureError(failure)
+        return Witness("continuous", model, h_short, h_long, margin=margin, note=note, **values)
 
     law_a = ChangePointLaw.table([(0.05, 0.0), (0.1, 0.5), (99.0, 0.5), (100.0, 1.0)])
-    model_a = cont.ContinuousModel(RateSchedule((0.05,), (8.0,)), law_a)
-    pa_short = cont.posterior_survival(model_a, History(t_short))
-    pa_long = cont.posterior_survival(model_a, History(t_long))
-    if not pa_short < pa_long:
-        raise SearchFailureError("early-mass scenario did not raise survival belief")
-
-    model_b = cont.ContinuousModel(RateSchedule((1.0,), (1.2,)), ChangePointLaw.exponential(1.0))
-    pb_short = cont.posterior_survival(model_b, History(t_short))
-    pb_long = cont.posterior_survival(model_b, History(t_long))
-    if not pb_short > pb_long:
-        raise SearchFailureError("slow-hazard scenario did not lower survival belief")
-
-    wa = Witness(
-        engine="continuous",
-        model=model_a,
-        history_low=History(t_short),
-        history_high=History(t_long),
-        posterior_low=pa_short,
-        posterior_high=pa_long,
-        intensity_low=cont.intensity(model_a, History(t_short)).intensity,
-        intensity_high=cont.intensity(model_a, History(t_long)).intensity,
-        margin=pa_long - pa_short,
-        note="longer silence raises survival belief",
+    law_b = ChangePointLaw.exponential(1.0)
+    return (
+        witness(cont.ContinuousModel(RateSchedule((0.05,), (8.0,)), law_a), 1.0,
+                "longer silence raises survival belief",
+                "early-mass scenario did not raise survival belief"),
+        witness(cont.ContinuousModel(RateSchedule((1.0,), (1.2,)), law_b), -1.0,
+                "longer silence lowers survival belief",
+                "slow-hazard scenario did not lower survival belief"),
     )
-    wb = Witness(
-        engine="continuous",
-        model=model_b,
-        history_low=History(t_short),
-        history_high=History(t_long),
-        posterior_low=pb_short,
-        posterior_high=pb_long,
-        intensity_low=cont.intensity(model_b, History(t_short)).intensity,
-        intensity_high=cont.intensity(model_b, History(t_long)).intensity,
-        margin=pb_short - pb_long,
-        note="longer silence lowers survival belief",
-    )
-    return wa, wb
 
 
 def remark5_check(

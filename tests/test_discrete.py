@@ -26,6 +26,7 @@ from cpb.core import (
 from cpb.discrete import (
     DiscreteModel,
     brute_force_posterior,
+    intensity,
     joint_weight,
     posterior_survival,
     sample_discrete_path,
@@ -206,6 +207,14 @@ class TestStepIntensity:
         survival = posterior_survival(model, h)
         assert mu == pytest.approx(0.2 + 0.3 * (1.0 - survival), rel=1e-14)
 
+    def test_intensity_result_matches_enumeration(self):
+        model = make_model()
+        h = DiscreteHistory(4, (2,))
+        res = intensity(model, h)
+        assert res.prob_before == pytest.approx(brute_force_posterior(model, h), rel=1e-13)
+        assert res.prob_after == 1.0 - res.prob_before
+        assert res.intensity == step_intensity(model, h)
+
     def test_bounded_by_rate_pair(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -305,6 +314,15 @@ class TestShiftIdentities:
             h = DiscreteHistory(6, (2, 4))
             rep = verify_shift_identities(model, h, 1)
             assert rep.max_rel_error <= 1e-12
+
+    def test_rel_errors_skip_empty_blocks(self):
+        # an arrival in the first slot has no switch-slot block before it
+        model = make_model(nu=0.15, pre=0.3, post=0.6)
+        rep = verify_shift_identities(model, DiscreteHistory(7, (1, 5)), 1)
+        assert rep.measured_alpha is None
+        assert set(rep.rel_errors) == {"gamma_mid", "gamma_tail", "delta"}
+        assert rep.rel_errors["delta"] == abs(rep.measured_delta / rep.expected.delta - 1.0)
+        assert rep.max_rel_error == max(rep.rel_errors.values())
 
     def test_inadmissible_shift_rejected(self):
         model = make_model()

@@ -1,5 +1,7 @@
 """Verification harness: sweeps, searches, ratio arithmetic, grid bridge."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cpb.core import (
 from cpb.continuous import ContinuousModel, intensity
 from cpb.verify import (
     SweepConfig,
+    SweepReport,
     Witness,
     added_arrival_search,
     catania_bridge_check,
@@ -93,6 +96,21 @@ class TestTheorem1Sweep:
         cfg = SweepConfig(engine="discrete", instances=100, seed=11)
         report = theorem1_sweep(cfg)
         assert report.max_posterior_margin >= 0.0
+
+    @pytest.mark.parametrize("engine", ["discrete", "continuous"])
+    def test_process_pool_matches_serial(self, engine, monkeypatch):
+        # every instance seeds its own generator, so the worker count must not
+        # change the report; the continuous sampler without increasing gaps
+        # yields violations, so witnesses cross the process boundary too
+        cfg = SweepConfig(engine=engine, instances=300, seed=7, require_catania=False)
+        monkeypatch.setenv("THREADS", "1")
+        serial = theorem1_sweep(cfg)
+        monkeypatch.setenv("THREADS", "2")
+        pooled = theorem1_sweep(cfg)
+        for f in fields(SweepReport):
+            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+        if engine == "continuous":
+            assert serial.violations
 
     def test_exact_and_oracle_engines_agree_on_sweep_instances(self):
         # the instances the sweep draws must get the same verdict from the
