@@ -1,19 +1,24 @@
 """Command line front end: config files in, CSV out.
 
 Subcommands: posterior, simulate, verify, transform, converge.  Inputs are
-flat sectioned key=value files; outputs are CSV on stdout (or a file via
---out) with 17 significant digits so values round-trip losslessly.  Exit
-codes: 0 success, 1 suite failure, 2 config parse error, 3 precondition
-violation, 4 I/O error.
+flat sectioned key=value files.  Each subcommand returns one ``Table``, and
+``main`` writes it as CSV to stdout (or the file named by --out) with 17
+significant digits, so values round-trip losslessly.  ``simulate`` yields
+its rows while it samples, so its memory does not grow with --paths.
+``transform --out`` names the rewritten config file; its table always goes
+to stdout.  Exit codes: 0 success, 1 a verify suite's verdict failed,
+2 config parse error, 3 precondition violation, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from collections.abc import Iterable
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +260,8 @@ def emit_config(config: ModelConfig) -> str:
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -262,28 +269,31 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _open_out(out: str | None):
-    if out is None:
-        return sys.stdout, False
-    return open(out, "w", newline=""), True
+@dataclass(frozen=True)
+class Table:
+    """One subcommand's output: the CSV header, the rows (any iterable, read
+    once while writing) and the verdict that main turns into the exit code."""
+
+    header: list[str]
+    rows: Iterable
+    ok: bool = True
 
 
-def _write_rows(out: str | None, header: list[str], rows: list[list]) -> None:
-    stream, close = _open_out(out)
-    try:
+def _write_table(out: str | None, table: Table) -> None:
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) or v is None else v for v in row])
-    finally:
-        if close:
-            stream.close()
+        writer.writerow(table.header)
+        writer.writerows(map(_fmt, row) for row in table.rows)
+
+
+def _status(good: bool) -> str:
+    return "pass" if good else "fail"
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_posterior(args) -> int:
+def cmd_posterior(args) -> Table:
     config = load_config(args.config)
     engine = args.engine
     if engine == "continuous":
@@ -300,9 +310,8 @@ def cmd_posterior(args) -> int:
                 model.rates, history.count, disc.brute_force_posterior(model, history))
         else:
             result = disc.intensity(model, history)
-    row = [config.scenario, engine, result.prob_before, result.prob_after, result.intensity]
-    _write_rows(args.out, ["scenario", "engine", "prob_before", "prob_after", "intensity"], [row])
-    return EXIT_OK
+    return Table(["scenario", "engine", "prob_before", "prob_after", "intensity"],
+                 [[config.scenario, engine, result.prob_before, result.prob_after, result.intensity]])
 
 
 def _as_discrete(config: ModelConfig, m: int | None):
@@ -319,9 +328,10 @@ def _as_discrete(config: ModelConfig, m: int | None):
     return model, snapped
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Table:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
+    np.random.SeedSequence(seed)  # a bad seed fails here, before any row is written
     # the config's kind fixes the history type, so a history is the only requirement
     if config.history is None:
         raise PreconditionError("simulate needs a [history] section with a horizon")
@@ -337,16 +347,16 @@ def cmd_simulate(args) -> int:
         def sample(rng):
             return disc.sample_discrete_path(model, horizon, seed=rng)
 
-    rows: list[list] = []
-    for pid in range(args.paths):
-        change, arrivals = sample(np.random.default_rng((seed, pid)))
-        rows.append([pid, change, 0, ""])
-        rows.extend([pid, change, idx, t] for idx, t in enumerate(arrivals, start=1))
-    _write_rows(args.out, ["path_id", "change_time", "arrival_index", "arrival_time"], rows)
-    return EXIT_OK
+    def rows():
+        for pid in range(args.paths):
+            change, arrivals = sample(np.random.default_rng((seed, pid)))
+            yield pid, change, 0, ""
+            yield from ((pid, change, idx, t) for idx, t in enumerate(arrivals, start=1))
+
+    return Table(["path_id", "change_time", "arrival_index", "arrival_time"], rows())
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Table:
     config = load_config(args.config)
     return _SUITES[args.suite](config, args)
 
@@ -367,7 +377,7 @@ def _describe_witness(w: verify.Witness) -> str:
     )
 
 
-def _verify_theorem1(config: ModelConfig, args) -> int:
+def _verify_theorem1(config: ModelConfig, args) -> Table:
     # the continuous sampler enforces increasing rate gaps: dominance alone
     # does not guarantee the monotonicity this suite asserts
     cfg = verify.SweepConfig(
@@ -378,42 +388,34 @@ def _verify_theorem1(config: ModelConfig, args) -> int:
         require_catania=(config.kind == "continuous"),
     )
     report = verify.theorem1_sweep(cfg)
-    status = "pass" if report.passed else "fail"
     rows = [[config.scenario, report.engine, "summary", report.pairs, len(report.violations),
-             report.min_posterior_margin, report.min_intensity_margin, status, ""]]
-    for w in report.violations[:20]:
-        rows.append([config.scenario, w.engine, "violation", "", "", w.margin, "", "fail",
-                     _describe_witness(w)])
-    _write_rows(args.out, ["scenario", "engine", "check", "pairs", "violations",
-                           "min_posterior_margin", "min_intensity_margin", "status", "detail"],
-                rows)
-    return EXIT_OK if report.passed else EXIT_SUITE_FAILURE
+             report.min_posterior_margin, report.min_intensity_margin, _status(report.passed), ""]]
+    rows += [[config.scenario, w.engine, "violation", "", "", w.margin, "", _status(False),
+              _describe_witness(w)] for w in report.violations[:20]]
+    return Table(["scenario", "engine", "check", "pairs", "violations",
+                  "min_posterior_margin", "min_intensity_margin", "status", "detail"],
+                 rows, report.passed)
 
 
-def _verify_counterexample(config: ModelConfig, args) -> int:
-    header = ["scenario", "engine", "M", "t", "t1",
-              "intensity_with_arrival", "intensity_empty", "margin", "status"]
+def _verify_counterexample(config: ModelConfig, args) -> Table:
     try:
         if args.M is not None:
-            witness = verify.counterexample_added_arrival(args.M)
-            m_value = args.M
+            w = verify.counterexample_added_arrival(args.M)
         else:
-            witness = verify.added_arrival_witness(config.continuous_model())
-            m_value = config.rates.post(1)
+            w = verify.added_arrival_witness(config.continuous_model())
+        found = [w.history_high.horizon, w.history_high.arrivals[0],
+                 w.intensity_high, w.intensity_low, w.margin]
     except SearchFailureError as exc:
         print(str(exc), file=sys.stderr)
-        _write_rows(args.out, header,
-                    [[config.scenario, "continuous", args.M if args.M is not None else config.rates.post(1),
-                      "", "", "", "", "", "fail"]])
-        return EXIT_SUITE_FAILURE
-    _write_rows(args.out, header,
-                [[config.scenario, witness.engine, m_value,
-                  witness.history_high.horizon, witness.history_high.arrivals[0],
-                  witness.intensity_high, witness.intensity_low, witness.margin, "pass"]])
-    return EXIT_OK
+        found = []
+    m_value = args.M if args.M is not None else config.rates.post(1)
+    return Table(["scenario", "engine", "M", "t", "t1",
+                  "intensity_with_arrival", "intensity_empty", "margin", "status"],
+                 [[config.scenario, "continuous", m_value, *(found or [""] * 5), _status(bool(found))]],
+                 bool(found))
 
 
-def _verify_identities(config: ModelConfig, args) -> int:
+def _verify_identities(config: ModelConfig, args) -> Table:
     model, history = _as_discrete(config, args.m)
     rng = np.random.default_rng(config.seed)
     worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
@@ -434,11 +436,10 @@ def _verify_identities(config: ModelConfig, args) -> int:
         for name, err in rep.rel_errors.items():
             worst[name] = max(worst[name], err)
     tol = max(config.tolerance, 1e-12)
-    rows = [[config.scenario, "discrete", name, err, "pass" if err <= tol else "fail"]
-            for name, err in worst.items()]
-    ok = all(err <= tol for err in worst.values()) and checked > 0
-    _write_rows(args.out, ["scenario", "engine", "quantity", "max_rel_error", "status"], rows)
-    return EXIT_OK if ok else EXIT_SUITE_FAILURE
+    return Table(["scenario", "engine", "quantity", "max_rel_error", "status"],
+                 [[config.scenario, "discrete", name, err, _status(err <= tol)]
+                  for name, err in worst.items()],
+                 all(err <= tol for err in worst.values()) and checked > 0)
 
 
 def _convergence_table(config: ModelConfig, m_list: str, what: str):
@@ -453,25 +454,26 @@ def _convergence_table(config: ModelConfig, m_list: str, what: str):
                    row.reference, row.error]) for row in study]
 
 
-def _verify_convergence(config: ModelConfig, args) -> int:
+def _verify_convergence(config: ModelConfig, args) -> Table:
     table = _convergence_table(config, args.m_list, "convergence suite")
-    rows = [[cells[0], "discrete", *cells[1:], "ok" if row.admissible else "inadmissible"]
-            for row, cells in table]
     errors = [row.error for row, _ in table if row.admissible]
-    shrinking = len(errors) >= 2 and all(b < a for a, b in zip(errors, errors[1:]))
-    _write_rows(args.out, ["scenario", "engine", "m", "admissible", "discrete_posterior",
-                           "continuous_posterior", "abs_error", "status"], rows)
-    return EXIT_OK if shrinking else EXIT_SUITE_FAILURE
+    return Table(["scenario", "engine", "m", "admissible", "discrete_posterior",
+                  "continuous_posterior", "abs_error", "status"],
+                 [[cells[0], "discrete", *cells[1:], "ok" if row.admissible else "inadmissible"]
+                  for row, cells in table],
+                 len(errors) >= 2 and all(b < a for a, b in zip(errors, errors[1:])))
 
 
-def _verify_timescale(config: ModelConfig, args) -> int:
+def _verify_timescale(config: ModelConfig, args) -> Table:
     if config.kind != "continuous" or not isinstance(config.history, History):
         raise PreconditionError("timescale suite needs a continuous config with a history")
     model = config.continuous_model()
     horizon = config.history.horizon
     rng = np.random.default_rng(config.seed)
     rows = []
-    ok = True
+
+    def check(name: str, value, good: bool) -> None:
+        rows.append([config.scenario, "timescale", name, value, _status(good)])
 
     # rates transform round trip
     gammas = ts.TimeScale(tuple(rng.uniform(0.3, 3.0, size=model.rates.size)))
@@ -480,9 +482,7 @@ def _verify_timescale(config: ModelConfig, args) -> int:
         max(abs(a - b) / abs(a) for a, b in zip(back.pre_change, model.rates.pre_change)),
         max(abs(a - b) / abs(a) for a, b in zip(back.post_change, model.rates.post_change)),
     )
-    good = err <= 1e-14
-    ok &= good
-    rows.append([config.scenario, "timescale", "rate_round_trip", err, "pass" if good else "fail"])
+    check("rate_round_trip", err, err <= 1e-14)
 
     # arrival-count closure along simulated paths
     mismatches = 0
@@ -494,9 +494,7 @@ def _verify_timescale(config: ModelConfig, args) -> int:
             n_orig = sum(1 for x in path.arrival_times if x <= t)
             n_mapped = sum(1 for x in mapped.arrival_times if x <= g_t * (1 + 1e-12))
             mismatches += n_orig != n_mapped
-    good = mismatches == 0
-    ok &= good
-    rows.append([config.scenario, "timescale", "count_closure", mismatches, "pass" if good else "fail"])
+    check("count_closure", mismatches, mismatches == 0)
 
     # constant-speed posterior invariance
     factor = float(rng.uniform(0.5, 2.0))
@@ -508,24 +506,19 @@ def _verify_timescale(config: ModelConfig, args) -> int:
         cont.posterior_survival(model, config.history)
         - cont.posterior_survival(scaled_model, scaled_history)
     )
-    good = diff <= 1e-10
-    ok &= good
-    rows.append([config.scenario, "timescale", "constant_scale_invariance", diff, "pass" if good else "fail"])
+    check("constant_scale_invariance", diff, diff <= 1e-10)
 
     # regularising speeds produce strictly increasing gaps
     report = validate_rates(model.rates)
     if report.assu_strict and model.rates.size >= 2:
         scale = ts.regularizing_gammas(model.rates)
-        transformed = ts.transform_rates(scale, model.rates)
-        good = validate_rates(transformed).catania
-        ok &= good
-        rows.append([config.scenario, "timescale", "regularized_catania",
-                     int(good), "pass" if good else "fail"])
+        good = validate_rates(ts.transform_rates(scale, model.rates)).catania
+        check("regularized_catania", int(good), good)
     else:
         rows.append([config.scenario, "timescale", "regularized_catania", "", "skipped"])
 
-    _write_rows(args.out, ["scenario", "engine", "check", "value", "status"], rows)
-    return EXIT_OK if ok else EXIT_SUITE_FAILURE
+    return Table(["scenario", "engine", "check", "value", "status"], rows,
+                 all(row[-1] != "fail" for row in rows))
 
 
 _SUITES = {
@@ -537,7 +530,7 @@ _SUITES = {
 }
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> Table:
     config = load_config(args.config)
     if config.kind != "continuous":
         raise PreconditionError("transform works on continuous configs")
@@ -547,9 +540,7 @@ def cmd_transform(args) -> int:
         scale = ts.regularizing_gammas(config.rates)
     new_rates = ts.transform_rates(scale, config.rates)
 
-    rows: list[list] = []
-    for k in range(len(scale.gammas)):
-        rows.append(["gamma", k, scale.gammas[k], scale.gammas[k]])
+    rows = [["gamma", k, g, g] for k, g in enumerate(scale.gammas)]
     for k in range(config.rates.size):
         rows.append(["pre_rate", k, config.rates.pre_change[k], new_rates.pre_change[k]])
         rows.append(["post_rate", k, config.rates.post_change[k], new_rates.post_change[k]])
@@ -564,28 +555,15 @@ def cmd_transform(args) -> int:
         rows.append(["horizon", 0, h.horizon, new_horizon])
         new_history = History(new_horizon, tuple(mapped))
 
-    _write_rows(None, ["record", "index", "value_in", "value_out"], rows)
-
-    if args.out:
-        new_config = ModelConfig(
-            scenario=config.scenario,
-            rates=new_rates,
-            law=config.law,
-            history=new_history,
-            seed=config.seed,
-            tolerance=config.tolerance,
-            instances=config.instances,
-        )
-        Path(args.out).write_text(emit_config(new_config))
-    return EXIT_OK
+    if args.config_out:
+        Path(args.config_out).write_text(emit_config(replace(config, rates=new_rates, history=new_history)))
+    return Table(["record", "index", "value_in", "value_out"], rows)
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> Table:
     config = load_config(args.config)
-    rows = [cells for _, cells in _convergence_table(config, args.m_list, "converge")]
-    _write_rows(args.out, ["scenario", "m", "admissible", "discrete_posterior",
-                           "continuous_posterior", "abs_error"], rows)
-    return EXIT_OK
+    return Table(["scenario", "m", "admissible", "discrete_posterior", "continuous_posterior", "abs_error"],
+                 [cells for _, cells in _convergence_table(config, args.m_list, "converge")])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gammas", default=None, help="comma-separated clock speeds")
     group.add_argument("--regularize", action="store_true",
                        help="derive speeds that make the transformed rate gaps increase")
-    p.add_argument("--out", default=None, help="write the transformed config here")
-    p.set_defaults(func=cmd_transform)
+    p.add_argument("--out", dest="config_out", metavar="OUT", default=None,
+                   help="write the transformed config here")
+    p.set_defaults(func=cmd_transform, out=None)
 
     p = sub.add_parser("converge", help="discretisation error table")
     p.add_argument("config")
@@ -641,7 +620,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        table = args.func(args)
+        _write_table(args.out, table)
+        return EXIT_OK if table.ok else EXIT_SUITE_FAILURE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

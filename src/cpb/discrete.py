@@ -82,12 +82,13 @@ class ShiftIdentityReport:
     """Measured versus predicted weight ratios for one admissible shift.
 
     ``rel_errors`` holds |measured / predicted - 1| per quantity, keyed
-    alpha, gamma_mid, gamma_tail and delta; an empty block has no entry.
+    alpha, gamma_mid, gamma_tail and delta.  Only alpha can be missing: its
+    block before the shifted arrival is empty when the arrival sits in slot 1.
     """
 
     expected: ShiftRatios
     measured_alpha: float | None
-    measured_gamma_mid: float | None
+    measured_gamma_mid: float
     measured_gamma_tail: float
     measured_delta: float
     rel_errors: dict[str, float]
@@ -215,9 +216,10 @@ def verify_shift_identities(
     a0, g0, b0, c0 = blocks(h)
     a1, g1, b1, c1 = blocks(shifted)
 
-    # an empty block (arrival in the first or the last slot) has no ratio
+    # the block before an arrival in slot 1 is empty and has no ratio; the one
+    # after it never is, because an arrival in the last slot cannot shift
     measured_alpha = math.exp(a1 - a0) if a0 > -math.inf else None
-    measured_gamma_mid = math.exp(b1 - b0) if b0 > -math.inf else None
+    measured_gamma_mid = math.exp(b1 - b0)
     measured_gamma_tail = math.exp(c1 - c0)
     measured_delta = math.exp(g1 - g0)
 

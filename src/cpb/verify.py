@@ -127,7 +127,7 @@ def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
             "intensity_low": low.intensity, "intensity_high": high.intensity}
 
 
-def _sample_discrete_model(cfg: SweepConfig, rng: np.random.Generator) -> disc.DiscreteModel:
+def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
     """Schedule guaranteed to satisfy the discrete monotonicity conditions.
 
     Works in log-survival units: the condition that the survival-odds
@@ -179,7 +179,7 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
     raise SearchFailureError("continuous model sampler kept producing inadmissible schedules")
 
 
-def _sample_discrete_pair(cfg: SweepConfig, rng: np.random.Generator):
+def _sample_discrete_pair(rng: np.random.Generator):
     n = int(rng.integers(SLOT_LOW, SLOT_HIGH + 1))
     k = int(rng.integers(0, min(MAX_COUNT, n) + 1))
     slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
@@ -192,7 +192,7 @@ def _sample_discrete_pair(cfg: SweepConfig, rng: np.random.Generator):
     return low, high
 
 
-def _sample_continuous_pair(cfg: SweepConfig, rng: np.random.Generator):
+def _sample_continuous_pair(rng: np.random.Generator):
     t = rng.uniform(HORIZON_LOW, HORIZON_HIGH)
     k = int(rng.integers(0, MAX_COUNT + 1))
     a = np.sort(rng.uniform(0.0, t, size=k))
@@ -205,11 +205,11 @@ def _sample_continuous_pair(cfg: SweepConfig, rng: np.random.Generator):
 def _sweep_instance(cfg: SweepConfig, index: int):
     rng = np.random.default_rng((cfg.seed, index))
     if cfg.engine == "discrete":
-        model = _sample_discrete_model(cfg, rng)
-        h_low, h_high = _sample_discrete_pair(cfg, rng)
+        model = _sample_discrete_model(rng)
+        h_low, h_high = _sample_discrete_pair(rng)
     else:
         model = _sample_continuous_model(cfg, rng)
-        h_low, h_high = _sample_continuous_pair(cfg, rng)
+        h_low, h_high = _sample_continuous_pair(rng)
     values = _evaluate_pair(cfg.engine, model, h_low, h_high)
     post_margin = values["posterior_low"] - values["posterior_high"]
     int_margin = values["intensity_high"] - values["intensity_low"]
@@ -275,32 +275,26 @@ def added_arrival_search(model: cont.ContinuousModel, t_max: float = 5.0, step: 
 
     Returns (margin, t, t1, intensity_one, intensity_empty).
     """
-
-    def margin_at(t: float, t1: float, mu_empty: float):
-        mu_one = cont.intensity(model, History(t, (t1,))).intensity
-        return mu_one - mu_empty, mu_one
-
     best = (math.inf, 0.0, 0.0, 0.0, 0.0)
-    ts = np.arange(step, t_max + step / 2, step)
-    for t in ts:
-        mu_empty = cont.intensity(model, History(t)).intensity
-        for t1 in np.arange(step, t, step):
-            if t1 >= t:
-                continue
-            m, mu_one = margin_at(t, t1, mu_empty)
-            if m < best[0]:
-                best = (m, float(t), float(t1), mu_one, mu_empty)
+
+    def scan(ts, t1_grid):
+        # t1_grid(t): the arrival instants tried inside the window [0, t]
+        nonlocal best
+        for t in map(float, ts):
+            mu_empty = cont.intensity(model, History(t)).intensity
+            for t1 in map(float, t1_grid(t)):
+                if t1 >= t:
+                    continue
+                mu_one = cont.intensity(model, History(t, (t1,))).intensity
+                if mu_one - mu_empty < best[0]:
+                    best = (mu_one - mu_empty, t, t1, mu_one, mu_empty)
+
+    scan(np.arange(step, t_max + step / 2, step), lambda t: np.arange(step, t, step))
     # refine around the best coarse cell
     _, t0, t10, _, _ = best
     fine = step / REFINE
-    for t in np.arange(max(fine, t0 - step), min(t_max, t0 + step) + fine / 2, fine):
-        mu_empty = cont.intensity(model, History(t)).intensity
-        for t1 in np.arange(max(fine, t10 - step), min(t - fine, t10 + step) + fine / 2, fine):
-            if t1 >= t:
-                continue
-            m, mu_one = margin_at(float(t), float(t1), mu_empty)
-            if m < best[0]:
-                best = (m, float(t), float(t1), mu_one, mu_empty)
+    scan(np.arange(max(fine, t0 - step), min(t_max, t0 + step) + fine / 2, fine),
+         lambda t: np.arange(max(fine, t10 - step), min(t - fine, t10 + step) + fine / 2, fine))
     return best
 
 

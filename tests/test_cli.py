@@ -16,75 +16,11 @@ from cpb import discrete as disc
 from cpb.core import ChangePointLaw, DiscreteHistory, History, PosteriorResult, RateSchedule
 
 
-CLOSED_FORM = """\
-[rates]
-pre = 1.0
-post = 2.0
-
-[changepoint]
-family = exponential
-rate = 1.0
-
-[history]
-horizon = 1.0
-arrivals =
-
-[run]
-seed = 3
-tolerance = 1e-9
-instances = 200
-"""
-
-EQUAL_RATES = """\
-[rates]
-pre = 1.3, 0.9
-post = 1.3, 0.9
-
-[changepoint]
-family = exponential
-rate = 0.8
-
-[history]
-horizon = 1.5
-arrivals = 0.4
-"""
-
-DISCRETE = """\
-[rates]
-pre = 0.2, 0.25
-post = 0.5, 0.6
-
-[changepoint]
-family = hazard
-values = 0.1
-tail = 0.1
-
-[history]
-horizon = 6
-arrivals = 2, 4
-
-[run]
-seed = 9
-instances = 50
-"""
-
-SWAPPED_LEVELS = """\
-[rates]
-pre = 1.0, 1.0
-post = 100.0, 2.0
-
-[changepoint]
-family = exponential
-rate = 1.0
-
-[history]
-horizon = 2.0
-arrivals =
-
-[run]
-seed = 1
-instances = 100
-"""
+# The config fixtures, shared with the byte-for-byte outputs in test_cli_golden.py.
+CFG = Path(__file__).resolve().parent / "golden" / "cfg"
+CLOSED_FORM, EQUAL_RATES, DISCRETE, SWAPPED_LEVELS = (
+    (CFG / f"{name}.cfg").read_text()
+    for name in ("closed-form", "equal-rates", "discrete", "swapped-levels"))
 
 
 def run_cli(capsys, *argv):
@@ -525,6 +461,14 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "simulate", path, "--paths", "1",
                                "--out", "/nonexistent-dir/out.csv")
         assert code == cli.EXIT_IO
+        assert "i/o error" in err
+
+    def test_unwritable_transform_config_exits_io_before_table(self, tmp_path, capsys):
+        path = write(tmp_path, "closed.cfg", CLOSED_FORM)
+        code, out, err = run_cli(capsys, "transform", path, "--gammas", "2.0",
+                                 "--out", "/nonexistent-dir/x.cfg")
+        assert code == cli.EXIT_IO
+        assert out == ""
         assert "i/o error" in err
 
     def test_missing_config_exits_io(self, capsys):

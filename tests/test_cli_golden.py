@@ -1,0 +1,82 @@
+"""Byte-for-byte CLI outputs: exit code, stdout and stderr of fixed invocations.
+
+The configs live in tests/golden/cfg and the recorded outputs in
+tests/golden/cli.json.  To record them again from the cpb on the path:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cpb import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CFG = GOLDEN / "cfg"
+RECORDED = GOLDEN / "cli.json"
+
+# argv strings, each run with tests/golden/cfg as the working directory
+CASES = [
+    "posterior closed-form.cfg",
+    "posterior equal-rates.cfg",
+    "posterior readme.cfg",
+    "posterior discrete.cfg --engine discrete",
+    "posterior discrete.cfg --engine oracle",
+    "posterior closed-form.cfg --engine discrete --m 128",
+    "posterior readme.cfg --engine oracle --m 4",
+    "posterior exponential.cfg",
+    "posterior weibull.cfg",
+    "posterior point-mass.cfg",
+    "posterior table.cfg",
+    "posterior hazard.cfg --engine discrete",
+    "simulate closed-form.cfg --paths 20 --seed 7",
+    "simulate weibull.cfg --paths 5",
+    "simulate discrete.cfg --paths 10 --seed 2",
+    "simulate closed-form.cfg --paths 0",
+    "verify discrete.cfg --suite theorem1",
+    "verify closed-form.cfg --suite theorem1",
+    "verify closed-form.cfg --suite counterexample --M 100",
+    "verify swapped-levels.cfg --suite counterexample",
+    "verify discrete.cfg --suite identities",
+    "verify closed-form.cfg --suite convergence --m-list 16,32,64,128",
+    "verify point-mass.cfg --suite convergence --m-list 8,16",
+    "verify closed-form.cfg --suite timescale",
+    "verify readme.cfg --suite timescale",
+    "transform readme.cfg --regularize",
+    "transform closed-form.cfg --gammas 2.0",
+    "converge closed-form.cfg --m-list 32,64,128",
+    "posterior closed-form.cfg --engine discrete",
+    # simulate streams its rows: a bad seed must still fail before the header
+    "simulate closed-form.cfg --paths 3 --seed -1",
+    "verify discrete.cfg --suite timescale",
+]
+
+
+def run(command: str) -> dict:
+    """Exit code, stdout and stderr of one in-process cpb invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(command.split())
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("command", CASES)
+def test_output_matches_recording(command, monkeypatch):
+    monkeypatch.chdir(CFG)
+    monkeypatch.setenv("THREADS", "1")
+    assert run(command) == json.loads(RECORDED.read_text())[command]
+
+
+def record() -> None:
+    os.chdir(CFG)
+    os.environ["THREADS"] = "1"
+    RECORDED.write_text(json.dumps({c: run(c) for c in CASES}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()

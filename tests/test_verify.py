@@ -118,11 +118,10 @@ class TestTheorem1Sweep:
         from cpb.discrete import brute_force_posterior, posterior_survival
         from cpb.verify import _sample_discrete_model, _sample_discrete_pair
 
-        cfg = SweepConfig(engine="discrete", instances=1, seed=31)
         rng = np.random.default_rng(31)
         for _ in range(100):
-            model = _sample_discrete_model(cfg, rng)
-            h_low, h_high = _sample_discrete_pair(cfg, rng)
+            model = _sample_discrete_model(rng)
+            h_low, h_high = _sample_discrete_pair(rng)
             for h in (h_low, h_high):
                 assert posterior_survival(model, h) == pytest.approx(
                     brute_force_posterior(model, h), abs=1e-12
