@@ -4,7 +4,8 @@ Subcommands: posterior, simulate, verify, transform, converge.  Inputs are
 flat sectioned key=value files.  Each subcommand returns one ``Table``, and
 ``main`` writes it as CSV to stdout (or the file named by --out) with 17
 significant digits, so values round-trip losslessly.  ``simulate`` yields
-its rows while it samples, so its memory does not grow with --paths.
+one block of CSV text per path while it samples, so its memory does not
+grow with --paths.
 ``transform --out`` names the rewritten config file; its table always goes
 to stdout.  Exit codes: 0 success, 1 a verify suite's verdict failed,
 2 config parse error, 3 precondition violation, 4 I/O error.
@@ -272,7 +273,8 @@ def _fmt(x) -> str:
 @dataclass(frozen=True)
 class Table:
     """One subcommand's output: the CSV header, the rows (any iterable, read
-    once while writing) and the verdict that main turns into the exit code."""
+    once while writing; a str item is CSV text written as it stands) and the
+    verdict that main turns into the exit code."""
 
     header: list[str]
     rows: Iterable
@@ -283,7 +285,11 @@ def _write_table(out: str | None, table: Table) -> None:
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(table.header)
-        writer.writerows(map(_fmt, row) for row in table.rows)
+        for row in table.rows:
+            if isinstance(row, str):
+                stream.write(row)
+            else:
+                writer.writerow(map(_fmt, row))
 
 
 def _status(good: bool) -> str:
@@ -332,28 +338,31 @@ def cmd_simulate(args) -> Table:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
     np.random.SeedSequence(seed)  # a bad seed fails here, before any row is written
+    if args.paths < 0:
+        raise PreconditionError(f"path count must be >= 0, got {args.paths}")
     # the config's kind fixes the history type, so a history is the only requirement
     if config.history is None:
         raise PreconditionError("simulate needs a [history] section with a horizon")
     if config.kind == "continuous":
-        model, horizon = config.continuous_model(), config.history.horizon
+        model, horizon, spec = config.continuous_model(), config.history.horizon, ".17g"
 
         def sample(rng):
             path = cont.sample_path(model, horizon=horizon, seed=rng)
             return path.change_time, path.arrival_times
     else:
-        model, horizon = config.discrete_model(), config.history.horizon_slot
+        model, horizon, spec = config.discrete_model(), config.history.horizon_slot, ""
 
         def sample(rng):
             return disc.sample_discrete_path(model, horizon, seed=rng)
 
-    def rows():
+    def blocks():
+        # one CSV text block per path; every cell is a number, so none needs quoting
         for pid in range(args.paths):
             change, arrivals = sample(np.random.default_rng((seed, pid)))
-            yield pid, change, 0, ""
-            yield from ((pid, change, idx, t) for idx, t in enumerate(arrivals, start=1))
+            prefix = f"{pid},{_fmt(change)},"
+            yield prefix + "0,\n" + "".join([f"{prefix}{i},{t:{spec}}\n" for i, t in enumerate(arrivals, 1)])
 
-    return Table(["path_id", "change_time", "arrival_index", "arrival_time"], rows())
+    return Table(["path_id", "change_time", "arrival_index", "arrival_time"], blocks())
 
 
 def cmd_verify(args) -> Table:

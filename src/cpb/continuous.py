@@ -195,6 +195,9 @@ def intensity(model: ContinuousModel, h: History) -> PosteriorResult:
     return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h))
 
 
+_EXP_BLOCK = 64
+
+
 def sample_path(
     model: ContinuousModel,
     horizon: float | None = None,
@@ -208,22 +211,35 @@ def sample_path(
     cumulative hazard, whose single breakpoint is the switch time.  A
     repeating-tail schedule never stops on its own, so it requires a
     horizon; a zero-tail schedule halts once its listed counts are used up.
+    The exponentials come in numpy blocks, and a generator passed as
+    ``seed`` ends in the same state as after one ``exponential()`` per step.
     """
     if horizon is None and model.rates.tail_mode == TAIL_REPEAT and max_arrivals is None:
         raise PreconditionError("a repeating-tail schedule needs a horizon or max_arrivals bound")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    seed_val = seed if isinstance(seed, int) else None
+    seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
+    rates = model.rates
+    pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
+    pre_tail, post_tail = rates.pre(listed), rates.post(listed)
+    limit = math.inf if max_arrivals is None else max_arrivals
+    end = math.inf if horizon is None else horizon
 
     u = model.law.ppf(rng.random())
     times: list[float] = []
     now = 0.0
     count = 0
-    while True:
-        if max_arrivals is not None and count >= max_arrivals:
-            break
-        pre = model.rates.pre(count)
-        post = model.rates.post(count)
-        target = rng.exponential()
+    # one unit exponential per step, drawn in blocks of doubling size
+    block: list[float] = []
+    used = 0
+    while count < limit:
+        if used == len(block):
+            state = rng.bit_generator.state
+            block = rng.standard_exponential(2 * len(block) or _EXP_BLOCK).tolist()
+            used = 0
+        target = block[used]
+        used += 1
+        pre = pre_rates[count] if count < listed else pre_tail
+        post = post_rates[count] if count < listed else post_tail
         if now >= u:
             if post <= 0.0:
                 break
@@ -237,11 +253,17 @@ def sample_path(
             else:
                 wait = gap + (target - pre * gap) / post
         nxt = now + wait
-        if horizon is not None and nxt > horizon:
+        if nxt > end:
             break
         times.append(nxt)
         now = nxt
         count += 1
+    if used < len(block):
+        # the ziggurat takes a variable number of words per value, so rewind
+        # and draw again only the values used: a shared generator then ends
+        # where one exponential() call per step would leave it
+        rng.bit_generator.state = state
+        rng.standard_exponential(used)
     return PathSample(change_time=u, arrival_times=tuple(times), seed=seed_val)
 
 

@@ -290,24 +290,40 @@ def sample_discrete_path(
     Draws the switch slot from its per-slot hazards first (None when it
     falls beyond the horizon, which is all later slots ever see), then
     flips one arrival coin per slot with the regime- and count-appropriate
-    probability.  Reproducible for a fixed seed.
+    probability.  Reproducible for a fixed seed.  The uniforms come in
+    numpy blocks, in the order of one ``random()`` per hazard tried and
+    per coin, and exactly as many are drawn.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    law, rates = model.law, model.rates
 
-    switch: int | None = None
-    for m in range(1, horizon + 1):
-        if rng.random() < model.law.hazard(m):
-            switch = m
-            break
+    hazards = np.full(horizon, law.tail)
+    listed = law.values[:horizon]
+    hazards[:len(listed)] = listed
+    draws = rng.random(horizon)
+    below = draws < hazards
+    first = int(below.argmax())
+    switch = first + 1 if below[first] else None
+    # the switch search used `cut` uniforms, and the coins follow them;
+    # slots 1..cut have the pre-change rates
+    cut = switch or horizon
+    coins = np.concatenate((draws[cut:], rng.random(cut)))
 
     slots: list[int] = []
-    count = 0
-    for r in range(1, horizon + 1):
-        post = switch is not None and r > switch
-        rate = model.rates.post(count) if post else model.rates.pre(count)
-        if rng.random() < rate:
-            slots.append(r)
-            count += 1
+    # coins[lo:hi] belong to slots lo+1..hi; the rate follows the count up to
+    # the last listed entry and repeats it from there
+    for rate, lo, hi in ((rates.pre, 0, cut), (rates.post, cut, horizon)):
+        while lo < hi:
+            if len(slots) >= rates.size - 1:
+                hits = np.flatnonzero(coins[lo:hi] < rate(len(slots))) + (lo + 1)
+                slots += hits.tolist()
+                break
+            window = coins[lo:hi] < rate(len(slots))
+            k = int(window.argmax())
+            if not window[k]:
+                break
+            lo += k + 1
+            slots.append(lo)
     return switch, tuple(slots)

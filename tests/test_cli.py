@@ -176,6 +176,22 @@ class TestSimulate:
         assert code == 0
         assert out.strip() == "path_id,change_time,arrival_index,arrival_time"
 
+    def test_negative_paths_exit_before_header(self, tmp_path, capsys):
+        path = write(tmp_path, "closed.cfg", CLOSED_FORM)
+        code, out, err = run_cli(capsys, "simulate", path, "--paths", "-2")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "path count" in err
+
+    def test_stdout_and_out_file_bytes_agree(self, tmp_path, capsys):
+        for name, text in (("closed.cfg", CLOSED_FORM), ("disc.cfg", DISCRETE)):
+            path = write(tmp_path, name, text)
+            target = tmp_path / f"{name}.csv"
+            _, out, _ = run_cli(capsys, "simulate", path, "--paths", "30", "--seed", "7")
+            assert run_cli(capsys, "simulate", path, "--paths", "30", "--seed", "7",
+                           "--out", str(target))[0] == 0
+            assert target.read_bytes() == out.encode()
+
     def test_fixed_seed_byte_identical(self, tmp_path, capsys):
         path = write(tmp_path, "closed.cfg", CLOSED_FORM)
         out_a = tmp_path / "a.csv"

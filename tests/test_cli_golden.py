@@ -54,6 +54,12 @@ CASES = [
     # simulate streams its rows: a bad seed must still fail before the header
     "simulate closed-form.cfg --paths 3 --seed -1",
     "verify discrete.cfg --suite timescale",
+    # one simulate case per sampler branch: every law family, and the zero tail's stop
+    "simulate hazard.cfg --paths 30 --seed 5",
+    "simulate point-mass.cfg --paths 20 --seed 3",
+    "simulate table.cfg --paths 20 --seed 4",
+    "simulate exponential.cfg --paths 20",
+    "simulate zero-tail.cfg --paths 30 --seed 6",
 ]
 
 

@@ -318,6 +318,13 @@ class TestSamplePath:
         b = sample_path(model, horizon=5.0, seed=4)
         assert a == b
 
+    def test_numpy_integer_seed_is_kept(self):
+        model = closed_form_model()
+        a = sample_path(model, horizon=5.0, seed=np.int64(4))
+        assert a.seed == 4 and type(a.seed) is int
+        assert a == sample_path(model, horizon=5.0, seed=4)
+        assert sample_path(model, horizon=5.0, seed=np.random.default_rng(4)).seed is None
+
     def test_repeat_tail_needs_bound(self):
         with pytest.raises(PreconditionError):
             sample_path(closed_form_model())
