@@ -48,7 +48,6 @@ __all__ = [
     "ContinuousModel",
     "PathSample",
     "ConvergenceRow",
-    "likelihood_given_changepoint",
     "log_likelihood_given_changepoint",
     "posterior_survival",
     "intensity",
@@ -123,11 +122,6 @@ def log_likelihood_given_changepoint(model: ContinuousModel, h: History, u: floa
         rate = model.rates.post(count) if a >= u else model.rates.pre(count)
         log_like -= rate * (b - a)
     return log_like
-
-
-def likelihood_given_changepoint(model: ContinuousModel, h: History, u: float) -> float:
-    """Density-with-survival of the history given the switch time u."""
-    return math.exp(log_likelihood_given_changepoint(model, h, u))
 
 
 def _forward(model: ContinuousModel, h: History):

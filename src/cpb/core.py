@@ -166,9 +166,8 @@ class ChangePointLaw:
     ``segment_integral(a, b, la, lb, slope)``: the log of the integral of
     exp(la + slope (u - a)) against the law over the switch times u in
     (a, b], with la and lb the integrand's log values at a and b.  The
-    discrete family ``Hazard`` gives ``hazard``, ``log_no_change_through``,
-    ``no_change_through`` and ``change_mass``.  An operation of the other
-    kind raises ValueError.
+    discrete family ``Hazard`` gives ``hazard``, and ``sf``/``log_sf`` at
+    an integer slot.  An operation of the other kind raises ValueError.
 
     A new family is one subclass plus its entry in ``LAWS``.  The
     constructors ``ChangePointLaw.exponential``, ``.weibull``,
@@ -191,8 +190,7 @@ class ChangePointLaw:
     def _other_kind(self, *args):
         raise ValueError(f"operation does not apply to a {self.kind} law ({self.family})")
 
-    cdf = _ppf = _scaled_time = segment_integral = _other_kind
-    hazard = log_no_change_through = no_change_through = change_mass = _other_kind
+    cdf = _ppf = _scaled_time = segment_integral = hazard = _other_kind
 
     def sf(self, x: float) -> float:
         """Probability that the switch happens strictly after x."""
@@ -264,19 +262,57 @@ class Weibull(ChangePointLaw):
         from scipy import integrate
 
         shape, scale = self.shape, self.scale
+        log_c = math.log(shape / scale)
 
-        def pdf(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
+        def log_f(u: float) -> float:
+            """Log likelihood plus log density at a switch time u > 0."""
             z = u / scale
-            return (shape / scale) * z ** (shape - 1.0) * math.exp(-(z**shape))
+            return la + slope * (u - a) + log_c + (shape - 1.0) * math.log(z) - z**shape
 
-        shift = max(la, lb)
+        def rise(u: float) -> float:
+            """The slope of log_f at u."""
+            return slope + (shape - 1.0) / u - shape / scale * (u / scale) ** (shape - 1.0)
+
+        def width(u: float) -> float:
+            """About the distance over which log_f falls by 1 from u."""
+            bend = (shape - 1.0) * (u**-2 + shape / scale**2 * (u / scale) ** (shape - 2.0))
+            return 1.0 / max(abs(rise(u)), math.sqrt(abs(bend)), 1e-300)
+
+        # Shift by the segment maximum of log_f, so that neither factor
+        # underflows where the mass is.  log_f is concave for shape > 1 and
+        # convex otherwise: its local maxima ("tops") are the ends it falls
+        # from, or one inner point, bisected for, if it rises and then falls.
+        # Near a = 0 the u^(shape - 1) factor is quad's to handle and does
+        # not set the width.
+        lo, hi = a if a > 0.0 else b * 1e-12, b
+        r_lo, r_hi = rise(lo), rise(hi)
+        tops = [(hi, width(hi))] if r_hi > 0.0 else []
+        if r_lo < 0.0:
+            tops.append((lo, width(lo) if a > 0.0 else 1.0 / max(1.0 / scale, -slope)))
+        elif shape > 1.0 and r_hi < 0.0:
+            mid = 0.5 * (lo + hi)
+            while (hi - lo) * max(r_lo, -r_hi) >= 1.0 and lo < mid < hi:
+                r = rise(mid)
+                lo, r_lo, hi, r_hi = (mid, r, hi, r_hi) if r > 0.0 else (lo, r_lo, mid, r)
+                mid = 0.5 * (lo + hi)
+            tops.append((mid, width(mid)))
+        peak = max(log_f(u) for u, _ in tops) if tops else max(log_f(lo), log_f(hi))
+        # a top far narrower than the segment can fall between all of quad's
+        # nodes; break points on a geometric ladder out of it keep it in view
+        points = []
+        for top, w in tops:
+            for sign in (-1.0, 1.0):
+                d = 16.0 * w
+                while a < top + sign * d < b:
+                    points.append(top + sign * d)
+                    if log_f(points[-1]) < peak - 64.0:
+                        break
+                    d *= 4.0
         value, _ = integrate.quad(
-            lambda u: math.exp(la + slope * (u - a) - shift) * pdf(u),
-            a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200,
+            lambda u: math.exp(log_f(u) - peak),
+            a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200, points=points or None,
         )
-        return shift + math.log(value) if value > 0.0 else -math.inf
+        return peak + math.log(value) if value > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -405,20 +441,16 @@ class Hazard(ChangePointLaw):
             raise IndexError(f"slot index must be >= 1, got {m}")
         return self.values[m - 1] if m <= len(self.values) else self.tail
 
-    def log_no_change_through(self, n: int) -> float:
+    def sf(self, n: int) -> float:
+        """P(switch slot > n)."""
+        return math.exp(self.log_sf(n))
+
+    def log_sf(self, n: int) -> float:
         """log P(switch slot > n): sum of log(1 - hazard) over slots 1..n."""
         if n < 0:
             raise IndexError(f"slot count must be nonnegative, got {n}")
         listed = self.values[:n]
         return sum(math.log1p(-v) for v in listed) + (n - len(listed)) * math.log1p(-self.tail)
-
-    def no_change_through(self, n: int) -> float:
-        """P(switch slot > n)."""
-        return math.exp(self.log_no_change_through(n))
-
-    def change_mass(self, j: int) -> float:
-        """P(switch happens exactly at slot j)."""
-        return self.hazard(j) * self.no_change_through(j - 1)
 
 
 LAWS = {cls.family: cls for cls in (Exponential, Weibull, PointMass, Table, Hazard)}

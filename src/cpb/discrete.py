@@ -33,10 +33,9 @@ __all__ = [
     "DiscreteModel",
     "ShiftRatios",
     "ShiftIdentityReport",
-    "joint_weight",
+    "log_joint_weight",
     "posterior_survival",
     "intensity",
-    "step_intensity",
     "shift_ratios",
     "verify_shift_identities",
     "brute_force_posterior",
@@ -150,13 +149,7 @@ def log_joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
     # beyond the horizon every slot is pre-change: narrow the tail's prior
     # mass P(switch > n) down to P(switch = j)
     law = model.law
-    return (log_tail + math.log(law.hazard(j))
-            + law.log_no_change_through(j - 1) - law.log_no_change_through(n))
-
-
-def joint_weight(model: DiscreteModel, h: DiscreteHistory, j: int) -> float:
-    """Probability of observing the history jointly with switch slot j."""
-    return math.exp(log_joint_weight(model, h, j))
+    return log_tail + math.log(law.hazard(j)) + law.log_sf(j - 1) - law.log_sf(n)
 
 
 def posterior_survival(model: DiscreteModel, h: DiscreteHistory) -> float:
@@ -168,11 +161,6 @@ def posterior_survival(model: DiscreteModel, h: DiscreteHistory) -> float:
 def intensity(model: DiscreteModel, h: DiscreteHistory) -> PosteriorResult:
     """Next-slot arrival probability: posterior mixture of the two per-slot rates."""
     return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h))
-
-
-def step_intensity(model: DiscreteModel, h: DiscreteHistory) -> float:
-    """Probability of an arrival in the next slot given the history."""
-    return intensity(model, h).intensity
 
 
 def shift_ratios(model: DiscreteModel, l: int) -> ShiftRatios:
@@ -189,9 +177,7 @@ def shift_ratios(model: DiscreteModel, l: int) -> ShiftRatios:
     return ShiftRatios(alpha=alpha, gamma=gamma, delta=delta)
 
 
-def verify_shift_identities(
-    model: DiscreteModel, h: DiscreteHistory, l: int, rel_tol: float = 1e-12
-) -> ShiftIdentityReport:
+def verify_shift_identities(model: DiscreteModel, h: DiscreteHistory, l: int) -> ShiftIdentityReport:
     """Measure the weight ratios produced by one admissible shift.
 
     Splits the switch-slot weights into the block before the shifted
@@ -227,7 +213,7 @@ def verify_shift_identities(
              "gamma_mid": (measured_gamma_mid, expected.gamma),
              "gamma_tail": (measured_gamma_tail, expected.gamma),
              "delta": (measured_delta, expected.delta)}
-    report = ShiftIdentityReport(
+    return ShiftIdentityReport(
         expected=expected,
         measured_alpha=measured_alpha,
         measured_gamma_mid=measured_gamma_mid,
@@ -237,11 +223,6 @@ def verify_shift_identities(
         posterior=survival_from_log_masses(_logsumexp([a0, g0, b0]), c0),
         posterior_shifted=survival_from_log_masses(_logsumexp([a1, g1, b1]), c1),
     )
-    if report.max_rel_error > rel_tol:
-        raise AssertionError(
-            f"shift identities violated: max relative error {report.max_rel_error:.3e} > {rel_tol:.1e}"
-        )
-    return report
 
 
 def brute_force_posterior(model: DiscreteModel, h: DiscreteHistory) -> float:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -75,6 +76,43 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, "posterior", path)
         assert code == cli.EXIT_PARSE_ERROR
         assert "config error" in err
+
+    def test_integral_float_slots_accepted(self):
+        text = (DISCRETE.replace("horizon = 6", "horizon = 6.0")
+                .replace("arrivals = 2, 4", "arrivals = 2.0, 4e0"))
+        assert cli.parse_config(text).history == cli.parse_config(DISCRETE).history
+
+
+# One case per error branch of parse_config: the config text (a fixture
+# with one line replaced, or cut) and the line the message must cite; 0
+# means "no line", for a section that is missing altogether.
+CONFIG_ERRORS = {
+    "unknown-section": (CLOSED_FORM.replace("[run]", "[runs]"), 13),
+    "no-equals-sign": (CLOSED_FORM.replace("seed = 3", "seed 3"), 14),
+    "missing-section": (CLOSED_FORM.replace("[changepoint]\nfamily = exponential\nrate = 1.0\n", ""), 0),
+    "bad-tail": (CLOSED_FORM.replace("post = 2.0", "post = 2.0\ntail = forever"), 4),
+    "invalid-schedule": (CLOSED_FORM.replace("pre = 1.0", "pre = 1.0, 2.0"), 2),
+    "unknown-family": (CLOSED_FORM.replace("family = exponential", "family = gamma"), 6),
+    "unparsable-law-parameter": (CLOSED_FORM.replace("rate = 1.0", "rate = fast"), 7),
+    "invalid-law-parameter": (CLOSED_FORM.replace("rate = 1.0", "rate = -1.0"), 6),
+    "arrival-beyond-horizon": (CLOSED_FORM.replace("arrivals =", "arrivals = 2.0"), 10),
+    "unparsable-arrival": (CLOSED_FORM.replace("arrivals =", "arrivals = 0.5, x"), 11),
+    "bad-seed": (CLOSED_FORM.replace("seed = 3", "seed = abc"), 14),
+    "bad-tolerance": (CLOSED_FORM.replace("tolerance = 1e-9", "tolerance = tight"), 15),
+    # a discrete slot is a whole number; 6.0 is one, 6.9 is not truncated to 6
+    "fractional-horizon-slot": (DISCRETE.replace("horizon = 6", "horizon = 6.9"), 11),
+    "fractional-arrival-slot": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 2.5, 4"), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_config_error_exit_and_line(name, tmp_path, capsys):
+    text, line = CONFIG_ERRORS[name]
+    path = write(tmp_path, "bad.cfg", text)
+    code, out, err = run_cli(capsys, "posterior", path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"config error: {path}:{line}: ")
 
 
 class TestPosterior:
@@ -167,6 +205,61 @@ class TestDecisiveEvidence:
         assert all(math.isfinite(v) for v in (before, after, mu))
         assert 0.0 <= before <= 1e-300 and after == 1.0
         assert mu == pytest.approx(post, rel=1e-12) and pre <= mu <= post
+
+
+def weibull_survival_oracle(pre, post, shape, scale, horizon, arrivals):
+    """Posterior survival under constant pre/post rates and a weibull switch
+    law, by mpmath at 30 digits.  Each stretch between arrivals is split
+    geometrically toward both of its ends, 20 levels deep, so that a peak
+    narrower than the stretch at either end is resolved."""
+    with mp.workdps(30):
+        pre, post, shape, scale, t = (mp.mpf(x) for x in (pre, post, shape, scale, horizon))
+        arr = [mp.mpf(x) for x in arrivals]
+
+        def log_like(u):
+            # an arrival at or after the switch u has the post-change rate
+            v = min(u, t)
+            return sum(mp.log(post if x >= u else pre) for x in arr) - pre * v - post * (t - v)
+
+        def log_pdf(u):
+            return mp.log(shape / scale) + (shape - 1) * mp.log(u / scale) - (u / scale) ** shape
+
+        change = mp.mpf(0)
+        cuts = [mp.mpf(0), *arr] + ([t] if t > arr[-1] else [])
+        for a, b in zip(cuts, cuts[1:]):
+            half = (b - a) / 2
+            pts = sorted({a, b} | {p for i in range(21) for p in (a + half / 2**i, b - half / 2**i)})
+            change += mp.quad(lambda u: mp.exp(log_like(u) + log_pdf(u)), pts)
+        stay = mp.exp(log_like(mp.inf) - (t / scale) ** shape)
+        return stay / (stay + change)
+
+
+# Far-tail weibull histories: the switch mass sits where the density
+# exp(-(u/scale)^shape) is far below the smallest double, so the segment
+# integral must be shifted by the peak of the whole log integrand, and the
+# peak can be far narrower than its stretch.
+# name -> (pre, post, shape, scale, horizon, arrivals)
+FAR_TAIL = {
+    "shape-2": (0.01, 100.0, 2.0, 1.0, 40.0, (39.01, 39.5, 39.9)),
+    "shape-0.7": (0.01, 100.0, 0.7, 1.0, 20000.0, (19999.9, 19999.95, 19999.99)),
+    "shape-3": (0.01, 1000.0, 3.0, 1.0, 15.0, (14.9, 14.95, 14.99)),
+    # decisive: the first stretch peaks near u = 10, thousands of nats
+    # above both of its ends
+    "shape-3-inner-peak": (0.01, 300.0, 3.0, 1.0, 40.0, (39.9, 39.95, 39.99)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_TAIL))
+def test_weibull_far_tail_matches_oracle(name, tmp_path, capsys):
+    pre, post, shape, scale, horizon, arrivals = FAR_TAIL[name]
+    text = history_config(pre, post, ["family = weibull", f"shape = {shape!r}", f"scale = {scale!r}"],
+                          horizon, arrivals)
+    code, out, err = run_cli(capsys, "posterior", write(tmp_path, "far.cfg", text))
+    assert code == 0, err
+    (row,) = rows_of(out)
+    survival = weibull_survival_oracle(pre, post, shape, scale, horizon, arrivals)
+    assert float(row["prob_before"]) == pytest.approx(float(survival), rel=1e-9)
+    assert float(row["prob_after"]) == pytest.approx(float(1 - survival), rel=1e-9)
 
 
 class TestSimulate:

@@ -24,7 +24,7 @@ from cpb.continuous import (
     discretize,
     intensity,
     intensity_path,
-    likelihood_given_changepoint,
+    log_likelihood_given_changepoint,
     posterior_survival,
     sample_path,
     snap_history,
@@ -63,19 +63,19 @@ class TestLikelihood:
         h = History(2.0, (0.5, 1.2, 1.9))
         expected = 1.5**3 * math.exp(-1.5 * 2.0)
         for u in (0.0, 0.7, 1.9, 5.0, math.inf):
-            assert likelihood_given_changepoint(model, h, u) == pytest.approx(expected, rel=1e-12)
+            assert math.exp(log_likelihood_given_changepoint(model, h, u)) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_history_two_segments(self):
         model = ContinuousModel(RateSchedule((0.7,), (1.9,)), ChangePointLaw.exponential(1.0))
         h = History(3.0)
         u = 1.25
-        assert likelihood_given_changepoint(model, h, u) == pytest.approx(
+        assert math.exp(log_likelihood_given_changepoint(model, h, u)) == pytest.approx(
             math.exp(-0.7 * u - 1.9 * (3.0 - u)), rel=1e-12
         )
 
     def test_unit_window_closed_form(self):
         model = closed_form_model()
-        value = likelihood_given_changepoint(model, History(1.0), 0.5)
+        value = math.exp(log_likelihood_given_changepoint(model, History(1.0), 0.5))
         assert value == pytest.approx(math.exp(0.5 - 2.0), rel=1e-13)
 
     def test_split_invariance(self):
@@ -89,18 +89,18 @@ class TestLikelihood:
             for _ in range(5):
                 cuts = rng.uniform(0.0, 2.0, size=4)
                 assert reference_likelihood(model, h, u, cuts) == pytest.approx(base, rel=1e-12)
-            assert likelihood_given_changepoint(model, h, u) == pytest.approx(base, rel=1e-12)
+            assert math.exp(log_likelihood_given_changepoint(model, h, u)) == pytest.approx(base, rel=1e-12)
 
     def test_increasing_in_u_for_empty_history(self):
         model = ContinuousModel(RateSchedule((0.6,), (2.2,)), ChangePointLaw.exponential(1.0))
         h = History(1.5)
-        values = [likelihood_given_changepoint(model, h, u) for u in np.linspace(0.01, 1.49, 40)]
+        values = [math.exp(log_likelihood_given_changepoint(model, h, u)) for u in np.linspace(0.01, 1.49, 40)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_boundary_arrival_admitted(self):
         model = closed_form_model()
         h = History(1.0, (1.0,))
-        assert likelihood_given_changepoint(model, h, math.inf) == pytest.approx(
+        assert math.exp(log_likelihood_given_changepoint(model, h, math.inf)) == pytest.approx(
             1.0 * math.exp(-1.0), rel=1e-12
         )
 
@@ -217,16 +217,16 @@ def oracle_survival(model, h):
     of the integrand is smooth; a point mass is evaluated where it sits.
     """
     t, law = h.horizon, model.law
-    no_change = law.sf(t) * likelihood_given_changepoint(model, h, math.inf)
+    no_change = law.sf(t) * math.exp(log_likelihood_given_changepoint(model, h, math.inf))
     if law.family == "point-mass":
         u0 = law.location
-        change = likelihood_given_changepoint(model, h, u0) if u0 <= t else 0.0
+        change = math.exp(log_likelihood_given_changepoint(model, h, u0)) if u0 <= t else 0.0
     else:
         pdf = _law_density(law)
         knots = [s for s, _ in law.knots] if law.family == "table" else []
         cuts = sorted({0.0, t, *h.arrivals, *(s for s in knots if 0.0 < s < t)})
         change = sum(
-            integrate.quad(lambda u: likelihood_given_changepoint(model, h, u) * pdf(u), a, b,
+            integrate.quad(lambda u: math.exp(log_likelihood_given_changepoint(model, h, u)) * pdf(u), a, b,
                            epsabs=0.0, epsrel=1e-12, limit=200)[0]
             for a, b in zip(cuts, cuts[1:])
         )
@@ -375,7 +375,7 @@ class TestSamplePath:
 
         def no_change_mass(t1):
             h = History(t, (t1,))
-            return model.law.sf(t) * likelihood_given_changepoint(model, h, math.inf)
+            return model.law.sf(t) * math.exp(log_likelihood_given_changepoint(model, h, math.inf))
 
         def total_mass(t1):
             h = History(t, (t1,))

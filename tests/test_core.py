@@ -108,7 +108,7 @@ class TestChangePointLaw:
 
     def test_discrete_hazard_mass_sums_to_one(self):
         law = ChangePointLaw.discrete_hazard((0.3, 0.2), tail=0.5)
-        total = sum(law.change_mass(j) for j in range(1, 60))
+        total = sum(law.hazard(j) * law.sf(j - 1) for j in range(1, 60))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_discrete_hazard_rejects_boundary(self):

@@ -27,11 +27,10 @@ from cpb.discrete import (
     DiscreteModel,
     brute_force_posterior,
     intensity,
-    joint_weight,
+    log_joint_weight,
     posterior_survival,
     sample_discrete_path,
     shift_ratios,
-    step_intensity,
     verify_shift_identities,
 )
 
@@ -72,19 +71,19 @@ class TestJointWeight:
         # switch at slot 1 leaves slot 1 itself in the pre-change regime
         model = make_model()
         h = DiscreteHistory(1, ())
-        assert joint_weight(model, h, 1) == pytest.approx(0.1 * 0.8, rel=1e-14)
+        assert math.exp(log_joint_weight(model, h, 1)) == pytest.approx(0.1 * 0.8, rel=1e-14)
 
     def test_switch_after_horizon(self):
         model = make_model()
         h = DiscreteHistory(1, ())
         expected = 0.1 * 0.9 * 0.8  # hazard at 2 times survival through 1, pre-change slot
-        assert joint_weight(model, h, 2) == pytest.approx(expected, rel=1e-14)
+        assert math.exp(log_joint_weight(model, h, 2)) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_enumeration_frozen(self):
         # frozen: exact rational enumeration gives 1/50
         model = make_model()
         h = DiscreteHistory(3, (2,))
-        assert joint_weight(model, h, 1) == pytest.approx(0.02, rel=1e-14)
+        assert math.exp(log_joint_weight(model, h, 1)) == pytest.approx(0.02, rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.data())
@@ -100,7 +99,7 @@ class TestJointWeight:
         h = DiscreteHistory(n, slots)
         pattern = tuple(1 if r in set(slots) else 0 for r in range(1, n + 1))
         for j in range(1, n + 2):
-            assert joint_weight(model, h, j) == pytest.approx(
+            assert math.exp(log_joint_weight(model, h, j)) == pytest.approx(
                 enumerate_joint(model, n, pattern, j), rel=1e-12
             )
 
@@ -127,7 +126,7 @@ class TestPosteriorSurvival:
         model = make_model(nu=0.2, pre=0.3, post=0.3)
         for h in (DiscreteHistory(6, ()), DiscreteHistory(6, (2, 5)), DiscreteHistory(6, (1, 2, 3))):
             assert posterior_survival(model, h) == pytest.approx(
-                model.law.no_change_through(6), rel=1e-12
+                model.law.sf(6), rel=1e-12
             )
 
     def test_frozen_enumeration_value(self):
@@ -186,7 +185,7 @@ class TestPosteriorSurvival:
 class TestStepIntensity:
     def test_equal_regimes_give_flat_rate(self):
         model = make_model(pre=0.25, post=0.25)
-        assert step_intensity(model, DiscreteHistory(5, (2,))) == pytest.approx(0.25, rel=1e-14)
+        assert intensity(model, DiscreteHistory(5, (2,))).intensity == pytest.approx(0.25, rel=1e-14)
 
     def test_certain_survival_uses_pre_rate(self):
         # hazard tail mass far beyond the horizon: switch cannot have happened yet
@@ -194,7 +193,7 @@ class TestStepIntensity:
             RateSchedule((0.2,), (0.7,)),
             ChangePointLaw.discrete_hazard((1e-12,)),
         )
-        mu = step_intensity(model, DiscreteHistory(4, (1,)))
+        mu = intensity(model, DiscreteHistory(4, (1,))).intensity
         assert mu == pytest.approx(0.2, abs=1e-9)
 
     def test_frozen_value_and_next_slot_meaning(self):
@@ -202,7 +201,7 @@ class TestStepIntensity:
         # posterior mixture 0.2 + 0.3 * (1 - survival)
         model = make_model()
         h = DiscreteHistory(4, (2,))
-        mu = step_intensity(model, h)
+        mu = intensity(model, h).intensity
         assert mu == pytest.approx(207511 / 729950, rel=1e-13)
         survival = posterior_survival(model, h)
         assert mu == pytest.approx(0.2 + 0.3 * (1.0 - survival), rel=1e-14)
@@ -213,7 +212,9 @@ class TestStepIntensity:
         res = intensity(model, h)
         assert res.prob_before == pytest.approx(brute_force_posterior(model, h), rel=1e-13)
         assert res.prob_after == 1.0 - res.prob_before
-        assert res.intensity == step_intensity(model, h)
+        # the next-slot probability mixes the two rates at the current count
+        pre, post = model.rates.pre(h.count), model.rates.post(h.count)
+        assert res.intensity == pytest.approx(pre * res.prob_before + post * res.prob_after, rel=1e-14)
 
     def test_bounded_by_rate_pair(self):
         rng = np.random.default_rng(5)
@@ -227,7 +228,7 @@ class TestStepIntensity:
             n = int(rng.integers(1, 9))
             k = int(rng.integers(0, n + 1))
             slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
-            mu = step_intensity(model, DiscreteHistory(n, slots))
+            mu = intensity(model, DiscreteHistory(n, slots)).intensity
             assert min(pre, post) - 1e-15 <= mu <= max(pre, post) + 1e-15
 
 
@@ -250,7 +251,7 @@ class TestStepIntensity:
         s = posterior_survival(model, h)
         assert math.isfinite(s) and 0.0 <= s <= 1.0
         pre, post = model.rates.pre(h.count), model.rates.post(h.count)
-        mu = step_intensity(model, h)
+        mu = intensity(model, h).intensity
         assert min(pre, post) * (1 - 1e-15) <= mu <= max(pre, post) * (1 + 1e-15)
 
 
@@ -287,7 +288,7 @@ class TestShiftRatios:
             shifted = shift_operator(h, l)
             assert shifted != h
             slot = h.arrival_slots[l - 1]
-            measured = joint_weight(model, shifted, slot) / joint_weight(model, h, slot)
+            measured = math.exp(log_joint_weight(model, shifted, slot) - log_joint_weight(model, h, slot))
             assert measured == pytest.approx(shift_ratios(model, l).delta, rel=1e-12)
 
 
@@ -366,7 +367,7 @@ class TestBruteForce:
         model = make_model(nu=0.2, pre=0.4, post=0.4)
         h = DiscreteHistory(5, (2, 3))
         assert brute_force_posterior(model, h) == pytest.approx(
-            model.law.no_change_through(5), rel=1e-13
+            model.law.sf(5), rel=1e-13
         )
 
     def test_agrees_with_full_enumeration(self):
