@@ -198,12 +198,17 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
         kind, read = (DiscreteHistory, slots) if law.kind == "discrete" else (History, floats)
         horizon = read(horizon_raw, hor_line, "horizon")
         arrivals = read(arrivals_raw or "", arr_line, "arrivals")
+        # the horizon alone first, so that a fault in the arrivals cites their line
         try:
             if len(horizon) != 1:
                 raise ValueError(f"horizon must be one number, got {horizon_raw!r}")
-            history = kind(horizon[0], arrivals)
+            kind(horizon[0])
         except ValueError as exc:
             raise ConfigError(source, hor_line, str(exc)) from None
+        try:
+            history = kind(horizon[0], arrivals)
+        except ValueError as exc:
+            raise ConfigError(source, arr_line, str(exc)) from None
 
     # run
     def run_value(key: str, cast, default: str):

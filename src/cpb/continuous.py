@@ -7,7 +7,12 @@ Between consecutive arrival instants the log likelihood is affine in u, so
 the posterior reduces to per-stretch integrals against the switch law,
 which each law class gives as ``segment_integral``: closed form for the
 exponential and table families, adaptive quadrature for the weibull
-density, exact evaluation for point masses.
+density, exact evaluation for point masses.  The weibull quadrature runs
+the first stretch, which starts at 0, in x = (u / b)^(shape / j) with
+j = max(3, ceil(shape)), where the density's u^(shape - 1) factor turns
+into the smooth x^(j - 1) and quad no longer subdivides toward 0; a later
+stretch (a, b] stays in u, because its left end (a / b)^(shape / j) would
+lose relative width when a is close to b on a long history.
 
 The engine evaluates them in one forward pass over the arrivals, the
 continuous form of Shiryaev's Bayesian change-point filter.  The pass
@@ -140,12 +145,15 @@ def _forward(model: ContinuousModel, h: History):
     that ends there.  Each step costs O(1) (O(log knots) for a table law).
     """
     rates = model.rates
+    pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
+    pre_tail, post_tail = rates.pre(listed), rates.post(listed)
     integral = model.law.segment_integral
     log_stay, log_change = 0.0, -math.inf
     a = 0.0
     k = h.count
     for i, b in enumerate((*h.arrivals, h.horizon)):
-        pre, post = rates.pre(i), rates.post(i)
+        pre = pre_rates[i] if i < listed else pre_tail
+        post = post_rates[i] if i < listed else post_tail
         # the horizon closes the last stretch without an arrival
         log_pre, log_post = (_log(pre), _log(post)) if i < k else (0.0, 0.0)
         width = b - a

@@ -282,8 +282,8 @@ class Weibull(ChangePointLaw):
         # underflows where the mass is.  log_f is concave for shape > 1 and
         # convex otherwise: its local maxima ("tops") are the ends it falls
         # from, or one inner point, bisected for, if it rises and then falls.
-        # Near a = 0 the u^(shape - 1) factor is quad's to handle and does
-        # not set the width.
+        # Near a = 0 the u^(shape - 1) factor does not set the width: the
+        # first stretch is integrated in a variable without it (below).
         lo, hi = a if a > 0.0 else b * 1e-12, b
         r_lo, r_hi = rise(lo), rise(hi)
         tops = [(hi, width(hi))] if r_hi > 0.0 else []
@@ -308,9 +308,33 @@ class Weibull(ChangePointLaw):
                     if log_f(points[-1]) < peak - 64.0:
                         break
                     d *= 4.0
+        if a > 0.0:
+            log_g, ends = log_f, (a, b)
+        else:
+            # The first stretch runs in x = (u / b)^(1 / m), m = j / shape, where
+            # f(u) du = j s_b x^(j - 1) exp(-s_b x^j) dx with s_b = (b / scale)^shape:
+            # the u^(shape - 1) singularity at 0, which quad would subdivide
+            # toward, becomes the smooth x^(j - 1).  The peak and the ladder
+            # carry over at the mapped points.  A stretch with a > 0 keeps u:
+            # its x_a = (a / b)^(1 / m) would lose relative width when a is
+            # close to b, as on far-tail histories.
+            j = max(3, math.ceil(shape))
+            m = j / shape
+            s_b, log_js = (b / scale) ** shape, math.log(j) + shape * math.log(b / scale)
+            slope_b = slope * b
+
+            def log_g(x: float) -> float:
+                return la + slope_b * x**m + log_js + (j - 1) * math.log(x) - s_b * x**j
+
+            def to_x(u: float) -> float:
+                return (u / b) ** (1.0 / m)
+
+            ends = (0.0, 1.0)
+            points = [to_x(p) for p in points]
+            peak = max(log_g(to_x(u)) for u in [u for u, _ in tops] + [b])
         value, _ = integrate.quad(
-            lambda u: math.exp(log_f(u) - peak),
-            a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200, points=points or None,
+            lambda x: math.exp(log_g(x) - peak),
+            *ends, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200, points=points or None,
         )
         return peak + math.log(value) if value > 0.0 else -math.inf
 
@@ -623,8 +647,10 @@ def validate_rates(rates: RateSchedule, bound: int | None = None) -> ConditionRe
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
 
-    pre = [rates.pre(k) for k in range(bound + 1)]
-    post = [rates.post(k) for k in range(bound + 1)]
+    # the listed rates, then the tail value up to count `bound`
+    tail = max(0, bound + 1 - rates.size)
+    pre = list(rates.pre_change[: bound + 1]) + [rates.pre(rates.size)] * tail
+    post = list(rates.post_change[: bound + 1]) + [rates.post(rates.size)] * tail
 
     assu_strict = all(p1 > p0 for p0, p1 in zip(pre, post))
     assu_broad = all(p1 >= p0 for p0, p1 in zip(pre, post))

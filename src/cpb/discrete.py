@@ -112,12 +112,15 @@ def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float],
     keep_n + pre_n.
     """
     rates, law = model.rates, model.law
+    pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
+    pre_tail, post_tail = rates.pre(listed), rates.post(listed)
     arrivals = set(h.arrival_slots)
     log_w = []
     log_keep = pre_sum = post_sum = 0.0
     count = 0
     for j in range(1, h.horizon_slot + 1):
-        pre, post = rates.pre(count), rates.post(count)
+        pre = pre_rates[count] if count < listed else pre_tail
+        post = post_rates[count] if count < listed else post_tail
         if j in arrivals:
             pre_sum += math.log(pre)
             post_sum += math.log(post)

@@ -77,6 +77,16 @@ class TestConfigParsing:
         assert code == cli.EXIT_PARSE_ERROR
         assert "config error" in err
 
+    def test_repeated_arrival_slot_cites_arrivals_line(self, tmp_path, capsys):
+        text = "\n".join(["[rates]", "pre = 0.2, 0.25", "post = 0.5, 0.6", "[changepoint]",
+                          "family = hazard", "values = 0.1", "[history]", "horizon = 6",
+                          "arrivals = 2, 2"]) + "\n"
+        path = write(tmp_path, "dup.cfg", text)
+        code, out, err = run_cli(capsys, "posterior", path, "--engine", "discrete")
+        assert code == cli.EXIT_PARSE_ERROR == 2
+        assert out == ""
+        assert f"{path}:9: arrival slots must strictly increase" in err
+
     def test_integral_float_slots_accepted(self):
         text = (DISCRETE.replace("horizon = 6", "horizon = 6.0")
                 .replace("arrivals = 2, 4", "arrivals = 2.0, 4e0"))
@@ -95,7 +105,8 @@ CONFIG_ERRORS = {
     "unknown-family": (CLOSED_FORM.replace("family = exponential", "family = gamma"), 6),
     "unparsable-law-parameter": (CLOSED_FORM.replace("rate = 1.0", "rate = fast"), 7),
     "invalid-law-parameter": (CLOSED_FORM.replace("rate = 1.0", "rate = -1.0"), 6),
-    "arrival-beyond-horizon": (CLOSED_FORM.replace("arrivals =", "arrivals = 2.0"), 10),
+    "arrival-beyond-horizon": (CLOSED_FORM.replace("arrivals =", "arrivals = 2.0"), 11),
+    "bad-horizon": (CLOSED_FORM.replace("horizon = 1.0", "horizon = -1.0"), 10),
     "unparsable-arrival": (CLOSED_FORM.replace("arrivals =", "arrivals = 0.5, x"), 11),
     "bad-seed": (CLOSED_FORM.replace("seed = 3", "seed = abc"), 14),
     "bad-tolerance": (CLOSED_FORM.replace("tolerance = 1e-9", "tolerance = tight"), 15),

@@ -130,6 +130,55 @@ class TestChangePointLaw:
             ChangePointLaw.discrete_hazard((0.1,)).cdf(1.0)
 
 
+def weibull_first_stretch_oracle(shape, scale, b, la, slope):
+    """log of the integral of exp(la + slope u) against the weibull law over
+    u in (0, b], by mpmath at 30 digits in s = (u / scale)^shape, where the
+    law is e^(-s) ds.  The range is split geometrically toward both ends (by
+    64 per level: 20 levels toward 0, where switch mass can sit at a tiny
+    fraction of s_b; 12 toward s_b, above the working precision).  Pieces
+    are integrated in order of an upper bound, and once the bound falls 80
+    nats below the running total the rest are skipped."""
+    with mp.workdps(30):
+        shape, scale, b, la, slope = (mp.mpf(v) for v in (shape, scale, b, la, slope))
+        s_b = (b / scale) ** shape
+        half = s_b / 2
+        pts = sorted({mp.mpf(0), s_b} | {half / mp.mpf(64) ** i for i in range(21)}
+                     | {s_b - half / mp.mpf(64) ** i for i in range(13)})
+        rise = slope * scale
+
+        def log_g(s):
+            return rise * s ** (1 / shape) - s
+
+        # both terms of log_g are monotone, which bounds it on each piece
+        pieces = sorted(((rise * (q if rise > 0 else p) ** (1 / shape) - p + mp.log(q - p), p, q)
+                         for p, q in zip(pts, pts[1:])), reverse=True)
+        total = mp.mpf(0)
+        for bound, p, q in pieces:
+            if total and bound < mp.log(total) - 80:
+                break
+            c = max(log_g(p), log_g(q))
+            total += mp.exp(c) * mp.quad(lambda s: mp.exp(log_g(s) - c), [p, q])
+        return la + mp.log(total)
+
+
+# (|slope|, b / scale, scale) of the first stretches (0, b]: a flat slope deep
+# in the law's tail, a tiny stretch, and peaks far narrower than the stretch
+FIRST_STRETCHES = [(1e-3, 30.0, 100.0), (1.0, 1e-3, 0.1), (30.0, 1.0, 2.5), (1e3, 30.0, 0.1)]
+
+
+# at shape 0.1, where u^(shape - 1) is nearly 1/u, quad in u was off by
+# 1.2e-8 in the log on the flat-slope stretch
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("shape", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.5, 4.0, 8.0])
+def test_weibull_first_stretch_matches_oracle(shape, sign):
+    la = -3.0
+    for magnitude, rel, scale in FIRST_STRETCHES:
+        slope, b = sign * magnitude, rel * scale
+        got = ChangePointLaw.weibull(shape, scale).segment_integral(0.0, b, la, la + slope * b, slope)
+        exact = weibull_first_stretch_oracle(shape, scale, b, la, slope)
+        assert abs(got - float(exact)) <= 1e-9, (magnitude, rel, scale)
+
+
 class TestHistories:
     def test_history_validation(self):
         History(5.0, (1.0, 2.0, 5.0))  # boundary arrival admitted

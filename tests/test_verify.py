@@ -112,6 +112,33 @@ class TestTheorem1Sweep:
         if engine == "continuous":
             assert serial.violations
 
+    def test_continuous_sweep_quadrature_evaluations(self, monkeypatch):
+        # a deterministic cost guard: the weibull first stretch (0, b] is
+        # integrated in a variable without the u^(shape - 1) endpoint
+        # singularity, so quad stays within 4 Gauss-Kronrod panels there
+        from scipy import integrate
+
+        quad, counts = integrate.quad, []
+
+        def counting_quad(func, lo, hi, **kwargs):
+            calls = [0]
+
+            def counted(x):
+                calls[0] += 1
+                return func(x)
+
+            try:
+                return quad(counted, lo, hi, **kwargs)
+            finally:
+                counts.append((lo, calls[0]))
+
+        monkeypatch.setattr(integrate, "quad", counting_quad)
+        monkeypatch.setenv("THREADS", "1")
+        theorem1_sweep(SweepConfig(engine="continuous", instances=200, seed=0))
+        first = [n for lo, n in counts if lo == 0.0]
+        assert first and max(first) <= 4 * 21
+        assert sum(n for _, n in counts) < 12_000
+
     def test_exact_and_oracle_engines_agree_on_sweep_instances(self):
         # the instances the sweep draws must get the same verdict from the
         # factorised engine and from the enumeration oracle
