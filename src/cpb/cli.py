@@ -88,8 +88,7 @@ _KNOWN_KEYS = {
 
 
 def _split_list(raw: str) -> list[str]:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    return [p for p in parts if p]
+    return raw.replace(",", " ").split()
 
 
 def _parse_param(raw: str, declared: str):
@@ -149,11 +148,16 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
 
     def floats(raw: str, lineno: int, what: str) -> tuple[float, ...]:
         try:
-            return tuple(float(p) for p in _split_list(raw))
+            return tuple(map(float, _split_list(raw)))
         except ValueError as exc:
             raise ConfigError(source, lineno, f"bad {what}: {exc}") from None
 
     def slots(raw: str, lineno: int, what: str) -> tuple[int, ...]:
+        try:
+            return tuple(map(int, _split_list(raw)))
+        except ValueError:
+            pass
+        # a whole number written as a float, such as 6.0 or 1e3
         values = floats(raw, lineno, what)
         if not all(v.is_integer() for v in values):
             raise ConfigError(source, lineno, f"bad {what}: slots are whole numbers, got {raw!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -245,10 +246,10 @@ class Weibull(ChangePointLaw):
     family = "weibull"
 
     def cdf(self, x: float) -> float:
-        return -math.expm1(-((x / self.scale) ** self.shape)) if x > 0.0 else 0.0
+        return -math.expm1(-_power(x / self.scale, self.shape)) if x > 0.0 else 0.0
 
     def log_sf(self, x: float) -> float:
-        return -((x / self.scale) ** self.shape) if x > 0.0 else 0.0
+        return -_power(x / self.scale, self.shape) if x > 0.0 else 0.0
 
     def _ppf(self, q: float) -> float:
         return self.scale * (-math.log1p(-q)) ** (1.0 / self.shape)
@@ -263,6 +264,14 @@ class Weibull(ChangePointLaw):
 
         shape, scale = self.shape, self.scale
         log_c = math.log(shape / scale)
+        if _power(b / scale, shape) == math.inf:
+            # past u_max = scale 2^(1000 / shape) the density is below
+            # exp(-2^1000) and vanishes against any mass before it, while
+            # (u / scale)^shape soon leaves the float range: end the segment there
+            u_max = scale * 2.0 ** (1000.0 / shape)
+            if a >= u_max:
+                return -math.inf
+            b = u_max
 
         def log_f(u: float) -> float:
             """Log likelihood plus log density at a switch time u > 0."""
@@ -485,6 +494,14 @@ ChangePointLaw.table = Table
 ChangePointLaw.discrete_hazard = Hazard
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p, or inf where that leaves the float range."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
@@ -555,10 +572,15 @@ class DiscreteHistory:
     arrival_slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "arrival_slots", tuple(int(s) for s in self.arrival_slots))
+        slots = tuple(map(int, self.arrival_slots))
+        object.__setattr__(self, "arrival_slots", slots)
         object.__setattr__(self, "horizon_slot", int(self.horizon_slot))
         if self.horizon_slot < 1:
             raise ValueError(f"horizon slot must be >= 1, got {self.horizon_slot}")
+        if not slots or (slots[0] >= 1 and slots[-1] <= self.horizon_slot
+                         and all(map(operator.lt, slots, slots[1:]))):
+            return
+        # the history is invalid: find the first offending slot for the message
         prev = 0
         for i, s in enumerate(self.arrival_slots):
             if s <= prev:

@@ -92,6 +92,57 @@ class TestConfigParsing:
                 .replace("arrivals = 2, 4", "arrivals = 2.0, 4e0"))
         assert cli.parse_config(text).history == cli.parse_config(DISCRETE).history
 
+    @pytest.mark.parametrize("horizon, arrivals, expected", [
+        ("1e1", "2,\t4 ,6.0  7", DiscreteHistory(10, (2, 4, 6, 7))),
+        ("6", "1,2\t3,,4", DiscreteHistory(6, (1, 2, 3, 4))),
+        ("6", "", DiscreteHistory(6, ())),
+    ])
+    def test_slot_list_spellings(self, horizon, arrivals, expected):
+        text = (DISCRETE.replace("horizon = 6", f"horizon = {horizon}")
+                .replace("arrivals = 2, 4", f"arrivals = {arrivals}"))
+        history = cli.parse_config(text).history
+        assert history == expected
+        assert all(type(s) is int for s in (history.horizon_slot, *history.arrival_slots))
+
+
+# Faulty discrete slot lists: the discrete fixture with one line replaced,
+# the line the message must cite, and the message after it.
+SLOT_ERRORS = {
+    "fractional": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 2, 6.9"), 12,
+                   "bad arrivals: slots are whole numbers, got '2, 6.9'"),
+    "word": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 2, abc"), 12,
+             "bad arrivals: could not convert string to float: 'abc'"),
+    "repeated": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 2, 4, 4"), 12,
+                 "arrival slots must strictly increase, got 4 at index 2"),
+    "decreasing": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 4, 2"), 12,
+                   "arrival slots must strictly increase, got 2 at index 1"),
+    "zero": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 0, 4"), 12,
+             "arrival slots must strictly increase, got 0 at index 0"),
+    "beyond-horizon": (DISCRETE.replace("arrivals = 2, 4", "arrivals = 2, 4, 7"), 12,
+                       "arrival slot 7 beyond horizon 6"),
+    "horizon-word": (DISCRETE.replace("horizon = 6", "horizon = six"), 11,
+                     "bad horizon: could not convert string to float: 'six'"),
+    "horizon-zero": (DISCRETE.replace("horizon = 6", "horizon = 0"), 11, "horizon slot must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_ERRORS))
+def test_slot_error_exit_line_and_message(name, tmp_path, capsys):
+    text, line, message = SLOT_ERRORS[name]
+    path = write(tmp_path, "bad.cfg", text)
+    code, out, err = run_cli(capsys, "posterior", path, "--engine", "discrete")
+    assert code == cli.EXIT_PARSE_ERROR == 2
+    assert out == ""
+    assert err == f"config error: {path}:{line}: {message}\n"
+
+
+def test_steep_weibull_past_float_range(capsys):
+    # (horizon / scale) ** shape = (2e6) ** 50 is beyond the largest double:
+    # the switch has surely happened, and no power may overflow on the way
+    code, out, err = run_cli(capsys, "posterior", str(CFG / "weibull-steep.cfg"))
+    assert code == 0, err
+    (row,) = rows_of(out)
+    assert (row["prob_before"], row["prob_after"], row["intensity"]) == ("0", "1", "2")
 
 # One case per error branch of parse_config: the config text (a fixture
 # with one line replaced, or cut) and the line the message must cite; 0

@@ -60,6 +60,7 @@ CASES = [
     "simulate table.cfg --paths 20 --seed 4",
     "simulate exponential.cfg --paths 20",
     "simulate zero-tail.cfg --paths 30 --seed 6",
+    "posterior long-discrete.cfg --engine discrete",
 ]
 
 

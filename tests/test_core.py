@@ -67,6 +67,25 @@ class TestChangePointLaw:
         for x in (0.1, 0.9, 3.0):
             assert w.cdf(x) == pytest.approx(e.cdf(x), rel=1e-14)
 
+    def test_weibull_past_float_range(self):
+        # (x / scale) ** shape leaves the float range: no survival is left
+        w = ChangePointLaw.weibull(50.0, 1.0)
+        assert w.log_sf(2e6) == -math.inf
+        assert w.sf(2e6) == 0.0
+        assert w.cdf(2e6) == 1.0
+        assert w.log_sf(1.0) == -1.0
+
+    def test_weibull_segment_past_float_range(self):
+        # the integrand vanishes long before (u / scale) ** shape overflows:
+        # a segment reaching that far carries the mass of its finite part,
+        # and one starting beyond it carries none
+        w = ChangePointLaw.weibull(50.0, 1.0)
+        for a in (0.0, 0.5):
+            far = w.segment_integral(a, 2e6, -3.0, None, -1.0)
+            near = w.segment_integral(a, 3.0, -3.0, None, -1.0)
+            assert far == pytest.approx(near, rel=1e-12, abs=1e-12)
+        assert w.segment_integral(1e6, 2e6, -3.0, None, -1.0) == -math.inf
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             ChangePointLaw.table([(1.0, 0.5), (2.0, 0.4), (3.0, 1.0)])  # decreasing value
@@ -197,6 +216,24 @@ class TestHistories:
             DiscreteHistory(6, (3, 3))
         with pytest.raises(ValueError):
             DiscreteHistory(6, (7,))
+
+    def test_discrete_history_from_numpy_integers(self):
+        h = DiscreteHistory(np.int64(6), np.array([1, 3, 6], dtype=np.int32))
+        assert h == DiscreteHistory(6, (1, 3, 6))
+        assert all(type(s) is int for s in (h.horizon_slot, *h.arrival_slots))
+
+    @pytest.mark.parametrize("slots, message", [
+        ((0, 1), "arrival slots must strictly increase, got 0 at index 0"),
+        ((2, 4, 4), "arrival slots must strictly increase, got 4 at index 2"),
+        ((4, 2), "arrival slots must strictly increase, got 2 at index 1"),
+        ((2, 7), "arrival slot 7 beyond horizon 6"),
+        ((2, 7, 1), "arrival slot 7 beyond horizon 6"),
+        ((3, 1, 9), "arrival slots must strictly increase, got 1 at index 1"),
+    ])
+    def test_discrete_history_message_names_first_fault(self, slots, message):
+        with pytest.raises(ValueError) as err:
+            DiscreteHistory(6, slots)
+        assert str(err.value) == message
 
 
 # -- the domination order ---------------------------------------------------

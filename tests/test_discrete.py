@@ -9,12 +9,14 @@ through that same enumeration.
 
 import math
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpb import discrete
 from cpb.core import (
     CapacityError,
     ChangePointLaw,
@@ -351,6 +353,90 @@ class TestShiftIdentities:
                 continue
             rep = verify_shift_identities(model, h, l)
             assert rep.posterior_shifted <= rep.posterior + 1e-12
+
+
+def slot_by_slot_log_weights(model, h):
+    """The engine's log weights and tail term, one slot at a time: every
+    rate and hazard looked up and logged in the slot that uses it.  The
+    table-driven pass must reproduce these bits exactly."""
+    rates, law = model.rates, model.law
+    pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
+    pre_tail, post_tail = rates.pre(listed), rates.post(listed)
+    arrivals = set(h.arrival_slots)
+    log_w = []
+    log_keep = pre_sum = post_sum = 0.0
+    count = 0
+    for j in range(1, h.horizon_slot + 1):
+        pre = pre_rates[count] if count < listed else pre_tail
+        post = post_rates[count] if count < listed else post_tail
+        if j in arrivals:
+            pre_sum += math.log(pre)
+            post_sum += math.log(post)
+            count += 1
+        else:
+            pre_sum += math.log1p(-pre)
+            post_sum += math.log1p(-post)
+        haz = law.hazard(j)
+        log_w.append(math.log(haz) + log_keep + pre_sum - post_sum)
+        log_keep += math.log1p(-haz)
+    return [w + post_sum for w in log_w], log_keep + pre_sum
+
+
+@st.composite
+def models_and_histories(draw):
+    """Listed rates of length 1-6, hazard lists shorter and longer than the
+    horizon, and histories from empty to full, with more arrivals than
+    listed counts and arrivals in the first and the last slot."""
+    probs = st.floats(1e-4, 0.95)
+    listed = draw(st.integers(1, 6))
+    pre = draw(st.lists(probs, min_size=listed, max_size=listed))
+    post = draw(st.lists(probs, min_size=listed, max_size=listed))
+    n = draw(st.integers(1, 40))
+    hazards = draw(st.lists(st.floats(1e-4, 0.9), min_size=1, max_size=2 * n + 1))
+    tail = draw(st.floats(1e-4, 0.9))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    flags = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    slots = {r for r, u in enumerate(flags, start=1) if u < density}
+    slots |= {r for r, forced in ((1, draw(st.booleans())), (n, draw(st.booleans()))) if forced}
+    model = DiscreteModel(RateSchedule(tuple(pre), tuple(post)),
+                          ChangePointLaw.discrete_hazard(tuple(hazards), tail))
+    return model, DiscreteHistory(n, tuple(sorted(slots)))
+
+
+class TestTablePassBitIdentity:
+    """Every discrete quantity equals, bit for bit, its value from the
+    slot-by-slot weights above."""
+
+    @staticmethod
+    def with_slot_by_slot(func, *args):
+        with patch.object(discrete, "_log_weights", slot_by_slot_log_weights):
+            return func(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(models_and_histories(), st.data())
+    def test_every_quantity_keeps_its_bits(self, case, data):
+        model, h = case
+        n = h.horizon_slot
+        assert discrete._log_weights(model, h) == slot_by_slot_log_weights(model, h)
+        assert posterior_survival(model, h) == self.with_slot_by_slot(posterior_survival, model, h)
+        for j in (1, n, data.draw(st.integers(1, n)), n + 1, data.draw(st.integers(n + 1, 3 * n + 5))):
+            assert log_joint_weight(model, h, j) == self.with_slot_by_slot(log_joint_weight, model, h, j)
+        shiftable = [l for l in range(1, h.count + 1) if shift_operator(h, l) != h]
+        if shiftable:
+            l = data.draw(st.sampled_from(shiftable))
+            assert verify_shift_identities(model, h, l) == self.with_slot_by_slot(
+                verify_shift_identities, model, h, l)
+
+    def test_long_history_keeps_its_bits(self):
+        # thousands of slots, counts far past the listed rates, a hazard list
+        # that ends long before the horizon
+        rng = np.random.default_rng(11)
+        model = DiscreteModel(RateSchedule((0.1, 0.15, 0.2), (0.3, 0.4, 0.5)),
+                              ChangePointLaw.discrete_hazard(tuple(rng.uniform(1e-4, 1e-2, size=50))))
+        n = 5000
+        h = DiscreteHistory(n, np.flatnonzero(rng.random(n) < 0.3) + 1)
+        assert discrete._log_weights(model, h) == slot_by_slot_log_weights(model, h)
+        assert posterior_survival(model, h) == self.with_slot_by_slot(posterior_survival, model, h)
 
 
 class TestBruteForce:
