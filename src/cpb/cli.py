@@ -5,10 +5,11 @@ flat sectioned key=value files.  Each subcommand returns one ``Table``, and
 ``main`` writes it as CSV to stdout (or the file named by --out) with 17
 significant digits, so values round-trip losslessly.  ``simulate`` yields
 one block of CSV text per path while it samples, so its memory does not
-grow with --paths.
-``transform --out`` names the rewritten config file; its table always goes
-to stdout.  Exit codes: 0 success, 1 a verify suite's verdict failed,
-2 config parse error, 3 precondition violation, 4 I/O error.
+grow with --paths.  ``transform --out`` names the rewritten config file; its
+table always goes to stdout.  Exit codes: 0 success, 1 a verify suite's
+verdict failed, 2 config parse error, 3 precondition violation, 4 I/O
+error.  ``main(argv)`` can be called repeatedly in one process: it builds
+its argparse parser once, on the first call, and reuses it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields, replace
@@ -587,14 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["continuous", "discrete", "oracle"], default="continuous")
     p.add_argument("--m", type=int, default=None, help="slot grid factor for discrete engines")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("simulate", help="sample paths to CSV")
     p.add_argument("config")
     p.add_argument("--paths", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("config")
@@ -604,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="slot grid factor where needed")
     p.add_argument("--m-list", default="16,32,64,128,256")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("transform", help="rescale the clock and rewrite the config")
     p.add_argument("config")
@@ -614,22 +613,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive speeds that make the transformed rate gaps increase")
     p.add_argument("--out", dest="config_out", metavar="OUT", default=None,
                    help="write the transformed config here")
-    p.set_defaults(func=cmd_transform, out=None)
+    p.set_defaults(out=None)
 
     p = sub.add_parser("converge", help="discretisation error table")
     p.add_argument("config")
     p.add_argument("--m-list", default="16,32,64,128,256")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_converge)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        table = args.func(args)
+        # looked up at call time, so a replaced cmd_* attribute is the one that runs
+        table = globals()[f"cmd_{args.command}"](args)
         _write_table(args.out, table)
         return EXIT_OK if table.ok else EXIT_SUITE_FAILURE
     except ConfigError as exc:

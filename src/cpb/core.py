@@ -294,6 +294,11 @@ class Weibull(ChangePointLaw):
         # Near a = 0 the u^(shape - 1) factor does not set the width: the
         # first stretch is integrated in a variable without it (below).
         lo, hi = a if a > 0.0 else b * 1e-12, b
+        if a == 0.0 and shape > 1.0:
+            # the mode can lie below b * 1e-12 when b is far out: step down past
+            # it, so that the bisection below finds it
+            while rise(lo) < 0.0 and lo > 1e-300:
+                lo *= 1e-3
         r_lo, r_hi = rise(lo), rise(hi)
         tops = [(hi, width(hi))] if r_hi > 0.0 else []
         if r_lo < 0.0:

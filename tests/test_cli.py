@@ -144,6 +144,18 @@ def test_steep_weibull_past_float_range(capsys):
     (row,) = rows_of(out)
     assert (row["prob_before"], row["prob_after"], row["intensity"]) == ("0", "1", "2")
 
+
+def test_weibull_mode_far_below_horizon(capsys):
+    # the law's mass sits near its mode, about 0.87, thirteen orders of
+    # magnitude below the horizon: the first stretch must still find it
+    code, out, err = run_cli(capsys, "posterior", str(CFG / "weibull-far-horizon.cfg"))
+    assert code == 0, err
+    (row,) = rows_of(out)
+    survival = weibull_survival_oracle(1.0, 2.0, 3.0, 1.0, 1e13, ())
+    assert float(row["prob_before"]) == pytest.approx(float(survival), rel=1e-9, abs=1e-300)
+    assert float(row["prob_after"]) == pytest.approx(float(1 - survival), rel=1e-9)
+
+
 # One case per error branch of parse_config: the config text (a fixture
 # with one line replaced, or cut) and the line the message must cite; 0
 # means "no line", for a section that is missing altogether.
@@ -287,7 +299,7 @@ def weibull_survival_oracle(pre, post, shape, scale, horizon, arrivals):
             return mp.log(shape / scale) + (shape - 1) * mp.log(u / scale) - (u / scale) ** shape
 
         change = mp.mpf(0)
-        cuts = [mp.mpf(0), *arr] + ([t] if t > arr[-1] else [])
+        cuts = [mp.mpf(0), *arr] + ([t] if not arr or t > arr[-1] else [])
         for a, b in zip(cuts, cuts[1:]):
             half = (b - a) / 2
             pts = sorted({a, b} | {p for i in range(21) for p in (a + half / 2**i, b - half / 2**i)})
@@ -645,6 +657,34 @@ class TestErrorPaths:
     def test_missing_config_exits_io(self, capsys):
         code, _, _ = run_cli(capsys, "posterior", "/no/such/file.cfg")
         assert code == cli.EXIT_IO
+
+
+class TestInProcessCalls:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built, original = [], cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        path = str(CFG / "closed-form.cfg")
+        assert [run_cli(capsys, "posterior", path)[0] for _ in range(2)] == [0, 0]
+        assert len(built) == 1
+
+    def test_replaced_subcommand_runs_after_first_call(self, monkeypatch, capsys):
+        path = str(CFG / "closed-form.cfg")
+        assert run_cli(capsys, "posterior", path)[0] == 0
+        seen = []
+
+        def fake_posterior(args):
+            seen.append(args.config)
+            return cli.Table(["x"], [[1]])
+
+        monkeypatch.setattr(cli, "cmd_posterior", fake_posterior)
+        assert run_cli(capsys, "posterior", path) == (0, "x\n1\n", "")
+        assert seen == [path]
 
 
 class TestConverge:

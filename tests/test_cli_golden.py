@@ -50,6 +50,13 @@ CASES = [
     "transform readme.cfg --regularize",
     "transform closed-form.cfg --gammas 2.0",
     "converge closed-form.cfg --m-list 32,64,128",
+    # argparse's own exits: help pages, an unknown choice and a missing
+    # required option, each followed by good invocations in the same process
+    "--help",
+    "posterior --help",
+    "verify --help",
+    "verify discrete.cfg --suite nope",
+    "transform readme.cfg",
     "posterior closed-form.cfg --engine discrete",
     # simulate streams its rows: a bad seed must still fail before the header
     "simulate closed-form.cfg --paths 3 --seed -1",
@@ -65,10 +72,14 @@ CASES = [
 
 
 def run(command: str) -> dict:
-    """Exit code, stdout and stderr of one in-process cpb invocation."""
+    """Exit code, stdout and stderr of one in-process cpb invocation; argparse
+    ends help and usage errors with SystemExit, whose code is the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(command.split())
+        try:
+            code = cli.main(command.split())
+        except SystemExit as exc:
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -76,12 +87,14 @@ def run(command: str) -> dict:
 def test_output_matches_recording(command, monkeypatch):
     monkeypatch.chdir(CFG)
     monkeypatch.setenv("THREADS", "1")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
     assert run(command) == json.loads(RECORDED.read_text())[command]
 
 
 def record() -> None:
     os.chdir(CFG)
     os.environ["THREADS"] = "1"
+    os.environ["COLUMNS"] = "80"
     RECORDED.write_text(json.dumps({c: run(c) for c in CASES}, indent=1) + "\n")
 
 

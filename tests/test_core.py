@@ -198,6 +198,35 @@ def test_weibull_first_stretch_matches_oracle(shape, sign):
         assert abs(got - float(exact)) <= 1e-9, (magnitude, rel, scale)
 
 
+def weibull_far_stretch_oracle(shape, scale, b, la, slope):
+    """log of the integral of exp(la + slope u) against the weibull law over
+    u in (0, b], for b far beyond the law's mass and slope * scale <= 1, by
+    mpmath at 30 digits in s = (u / scale)^shape.  The pieces double out from
+    the integrand's mode in s, or from s = 1 if that is further out, to 256
+    times it; beyond, the integrand is below exp(-200) and is dropped."""
+    with mp.workdps(30):
+        shape, scale, b, la, slope = (mp.mpf(v) for v in (shape, scale, b, la, slope))
+        rise = slope * scale
+        mode = (rise / shape) ** (shape / (shape - 1)) if rise > 0 else mp.mpf(0)
+        top = max(mode, mp.mpf(1))
+        pts = [mp.mpf(0)] + [top * mp.mpf(2) ** i for i in range(-2, 9)]
+        assert pts[-1] < (b / scale) ** shape
+        return la + mp.log(mp.quad(lambda s: mp.exp(rise * s ** (1 / shape) - s), pts))
+
+
+# A first stretch (0, b] with b / scale from 1e13 up: b * 1e-12, where the
+# stretch's search for the top starts, lies beyond the mode, and past 1e38
+# (shape 8) the power (b / scale)^shape leaves the float range
+@pytest.mark.parametrize("slope", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("shape", [1.5, 2.0, 3.0, 5.0, 8.0])
+def test_weibull_far_first_stretch_matches_oracle(shape, slope):
+    la = -3.0
+    for rel in (1e13, 1e30, 1e100):
+        got = ChangePointLaw.weibull(shape, 1.0).segment_integral(0.0, rel, la, la + slope * rel, slope)
+        exact = weibull_far_stretch_oracle(shape, 1.0, rel, la, slope)
+        assert abs(got - float(exact)) <= 1e-12, rel
+
+
 class TestHistories:
     def test_history_validation(self):
         History(5.0, (1.0, 2.0, 5.0))  # boundary arrival admitted
@@ -329,6 +358,25 @@ class TestValidateRates:
     def test_tied_gaps_fail_catania(self):
         report = validate_rates(RateSchedule((1.0, 1.0), (2.0, 2.0)))
         assert not report.catania
+
+
+def _flags(report):
+    return report.assu_strict, report.assu_broad, report.catania, report.plo, report.ser
+
+
+# a few levels, so that draws tie across regimes and counts and every flag
+# comes out both ways
+_levels = st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(_levels, min_size=n, max_size=n)] * 2)))
+def test_default_bound_covers_repeating_tail(lists):
+    # past the listed counts a repeating tail ties every condition, so any
+    # larger bound reports the same flags as the default size + 1
+    rates = RateSchedule(tuple(lists[0]), tuple(lists[1]))
+    default = _flags(validate_rates(rates))
+    assert all(_flags(validate_rates(rates, bound=b)) == default for b in range(rates.size + 1, 31))
 
 
 # -- shift operators ----------------------------------------------------------
