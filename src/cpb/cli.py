@@ -1,12 +1,13 @@
 """Command line front end: config files in, CSV out.
 
 Subcommands: posterior, simulate, verify, transform, converge.  Inputs are
-flat sectioned key=value files.  Each subcommand returns one ``Table``, and
-``main`` writes it as CSV to stdout (or the file named by --out) with 17
-significant digits, so values round-trip losslessly.  ``simulate`` yields
-one block of CSV text per path while it samples, so its memory does not
-grow with --paths.  ``transform --out`` names the rewritten config file; its
-table always goes to stdout.  Exit codes: 0 success, 1 a verify suite's
+flat sectioned key=value files.  ``main`` reads the config, then runs the
+subcommand on it; each subcommand returns one ``Table``, and ``main`` writes
+it as CSV to stdout (or the file named by --out) with 17 significant
+digits, so values round-trip losslessly.  ``simulate`` yields one block of
+CSV text per path while it samples, so its memory does not grow with
+--paths.  ``transform --out`` names the rewritten config file; its table
+always goes to stdout.  Exit codes: 0 success, 1 a verify suite's
 verdict failed, 2 config parse error, 3 precondition violation, 4 I/O
 error.  ``main(argv)`` can be called repeatedly in one process: it builds
 its argparse parser once, on the first call, and reuses it.
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import math
 import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields, replace
@@ -253,7 +255,7 @@ def emit_config(config: ModelConfig) -> str:
              "", "[changepoint]", f"family = {law.family}",
              *(f"{name} = {_param_text(value, ', ')}" for name, value in law.params().items())]
     if h is not None:
-        continuous = isinstance(h, History)
+        continuous = config.kind == "continuous"
         lines += ["", "[history]", f"horizon = {_fmt(h.horizon if continuous else h.horizon_slot)}",
                   "arrivals = " + ", ".join(map(_fmt, h.arrivals if continuous else h.arrival_slots))]
     lines += ["", "[run]", f"seed = {config.seed}", f"tolerance = {_fmt(config.tolerance)}",
@@ -266,8 +268,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -302,17 +302,32 @@ def _status(good: bool) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_posterior(args) -> Table:
-    config = load_config(args.config)
+def _continuous(config: ModelConfig, what: str):
+    """The continuous model and history for the command or suite named what."""
+    if config.kind != "continuous" or config.history is None:
+        raise PreconditionError(f"{what} needs a continuous config with a history")
+    return config.continuous_model(), config.history
+
+
+def _as_discrete(config: ModelConfig, what: str, m: int | None):
+    """The slot-grid model and history for the command or suite named what: a
+    discrete config's own, or a continuous one's snapped to grid factor m."""
+    if config.kind == "continuous" and m is None:
+        raise PreconditionError("a continuous config needs --m to run on the slot grid")
+    if config.history is None:
+        raise PreconditionError(f"{what} needs a [history] section")
+    if config.kind == "discrete":
+        return config.discrete_model(), config.history
+    snapped = cont.snap_history(config.history, m)
+    return cont.discretize(config.continuous_model(), m, slots=snapped.horizon_slot), snapped
+
+
+def cmd_posterior(config: ModelConfig, args) -> Table:
     engine = args.engine
     if engine == "continuous":
-        if config.kind != "continuous":
-            raise PreconditionError("continuous engine needs a continuous changepoint law")
-        if not isinstance(config.history, History):
-            raise PreconditionError("posterior needs a [history] section")
-        result = cont.intensity(config.continuous_model(), config.history)
+        result = cont.intensity(*_continuous(config, "posterior"))
     else:
-        model, history = _as_discrete(config, args.m)
+        model, history = _as_discrete(config, "posterior", args.m)
         if engine == "oracle":
             # the independent check: enumeration, not the engine's own pass
             result = PosteriorResult.from_survival(
@@ -323,22 +338,7 @@ def cmd_posterior(args) -> Table:
                  [[config.scenario, engine, result.prob_before, result.prob_after, result.intensity]])
 
 
-def _as_discrete(config: ModelConfig, m: int | None):
-    if config.kind == "discrete":
-        if not isinstance(config.history, DiscreteHistory):
-            raise PreconditionError("posterior needs a [history] section")
-        return config.discrete_model(), config.history
-    if m is None:
-        raise PreconditionError("a continuous config needs --m to run on the slot grid")
-    if not isinstance(config.history, History):
-        raise PreconditionError("posterior needs a [history] section")
-    snapped = cont.snap_history(config.history, m)
-    model = cont.discretize(config.continuous_model(), m, slots=snapped.horizon_slot)
-    return model, snapped
-
-
-def cmd_simulate(args) -> Table:
-    config = load_config(args.config)
+def cmd_simulate(config: ModelConfig, args) -> Table:
     seed = args.seed if args.seed is not None else config.seed
     np.random.SeedSequence(seed)  # a bad seed fails here, before any row is written
     if args.paths < 0:
@@ -368,8 +368,7 @@ def cmd_simulate(args) -> Table:
     return Table(["path_id", "change_time", "arrival_index", "arrival_time"], blocks())
 
 
-def cmd_verify(args) -> Table:
-    config = load_config(args.config)
+def cmd_verify(config: ModelConfig, args) -> Table:
     return _SUITES[args.suite](config, args)
 
 
@@ -428,7 +427,7 @@ def _verify_counterexample(config: ModelConfig, args) -> Table:
 
 
 def _verify_identities(config: ModelConfig, args) -> Table:
-    model, history = _as_discrete(config, args.m)
+    model, history = _as_discrete(config, "identities suite", args.m)
     rng = np.random.default_rng(config.seed)
     worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
     checked = 0
@@ -456,11 +455,7 @@ def _verify_identities(config: ModelConfig, args) -> Table:
 def _convergence_table(config: ModelConfig, m_list: str, what: str):
     """Convergence study rows, each with its CSV cells: scenario, m, admissible,
     discrete_posterior, continuous_posterior, abs_error."""
-    if config.kind != "continuous" or not isinstance(config.history, History):
-        raise PreconditionError(f"{what} needs a continuous config with a history")
-    study = cont.convergence_study(
-        config.continuous_model(), config.history, [int(v) for v in _split_list(m_list)]
-    )
+    study = cont.convergence_study(*_continuous(config, what), [int(v) for v in _split_list(m_list)])
     return [(row, [config.scenario, row.m, int(row.admissible), row.discrete_value,
                    row.reference, row.error]) for row in study]
 
@@ -476,10 +471,8 @@ def _verify_convergence(config: ModelConfig, args) -> Table:
 
 
 def _verify_timescale(config: ModelConfig, args) -> Table:
-    if config.kind != "continuous" or not isinstance(config.history, History):
-        raise PreconditionError("timescale suite needs a continuous config with a history")
-    model = config.continuous_model()
-    horizon = config.history.horizon
+    model, history = _continuous(config, "timescale suite")
+    horizon = history.horizon
     rng = np.random.default_rng(config.seed)
     rows = []
 
@@ -512,9 +505,9 @@ def _verify_timescale(config: ModelConfig, args) -> Table:
     scaled_model = cont.ContinuousModel(
         model.rates.scaled(1.0 / factor), model.law.scaled_time(factor)
     )
-    scaled_history = History(horizon * factor, tuple(t * factor for t in config.history.arrivals))
+    scaled_history = History(horizon * factor, tuple(t * factor for t in history.arrivals))
     diff = abs(
-        cont.posterior_survival(model, config.history)
+        cont.posterior_survival(model, history)
         - cont.posterior_survival(scaled_model, scaled_history)
     )
     check("constant_scale_invariance", diff, diff <= 1e-10)
@@ -541,8 +534,7 @@ _SUITES = {
 }
 
 
-def cmd_transform(args) -> Table:
-    config = load_config(args.config)
+def cmd_transform(config: ModelConfig, args) -> Table:
     if config.kind != "continuous":
         raise PreconditionError("transform works on continuous configs")
     if args.gammas is not None:
@@ -556,23 +548,22 @@ def cmd_transform(args) -> Table:
         rows.append(["pre_rate", k, config.rates.pre_change[k], new_rates.pre_change[k]])
         rows.append(["post_rate", k, config.rates.post_change[k], new_rates.post_change[k]])
 
-    new_history = config.history
-    if isinstance(config.history, History):
-        h = config.history
-        mapped = [ts.time_map(scale, h, t) for t in h.arrivals]
+    new_history = h = config.history
+    if h is not None:
+        # the clock at each arrival, read off one pass over the arrivals
+        mapped = ts.transform_path(scale, cont.PathSample(math.inf, h.arrivals)).arrival_times
         for i, (orig, new) in enumerate(zip(h.arrivals, mapped), start=1):
             rows.append(["arrival", i, orig, new])
         new_horizon = ts.time_map(scale, h, h.horizon)
         rows.append(["horizon", 0, h.horizon, new_horizon])
-        new_history = History(new_horizon, tuple(mapped))
+        new_history = History(new_horizon, mapped)
 
     if args.config_out:
         Path(args.config_out).write_text(emit_config(replace(config, rates=new_rates, history=new_history)))
     return Table(["record", "index", "value_in", "value_out"], rows)
 
 
-def cmd_converge(args) -> Table:
-    config = load_config(args.config)
+def cmd_converge(config: ModelConfig, args) -> Table:
     return Table(["scenario", "m", "admissible", "discrete_posterior", "continuous_posterior", "abs_error"],
                  [cells for _, cells in _convergence_table(config, args.m_list, "converge")])
 
@@ -631,8 +622,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        config = load_config(args.config)
         # looked up at call time, so a replaced cmd_* attribute is the one that runs
-        table = globals()[f"cmd_{args.command}"](args)
+        table = globals()[f"cmd_{args.command}"](config, args)
         _write_table(args.out, table)
         return EXIT_OK if table.ok else EXIT_SUITE_FAILURE
     except ConfigError as exc:

@@ -317,8 +317,9 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
 def snap_history(h: History, m: int) -> DiscreteHistory:
     """Floor-snap a continuous history onto the width-1/m slot grid.
 
-    Arrival instants map to slot floor(t*m) and the horizon likewise.  At
-    coarse resolutions arrivals can collide or land on slot zero, which
+    Arrival instants map to slot floor(t*m) and the horizon likewise, so no
+    arrival slot passes the horizon slot.  At coarse resolutions arrivals
+    can collide, or an arrival or the horizon land on slot zero, which
     makes the snapped history unusable; that raises rather than perturbing
     the data.
     """
@@ -328,8 +329,8 @@ def snap_history(h: History, m: int) -> DiscreteHistory:
         raise PreconditionError(f"grid factor {m} snaps an arrival to slot 0")
     if any(b <= a for a, b in zip(slots, slots[1:])):
         raise PreconditionError(f"grid factor {m} collapses two arrivals onto one slot")
-    if slots and slots[-1] > n:
-        raise PreconditionError(f"grid factor {m} snaps an arrival beyond the horizon slot")
+    if n < 1:
+        raise PreconditionError(f"grid factor {m} snaps the horizon to slot 0")
     return DiscreteHistory(horizon_slot=n, arrival_slots=tuple(slots))
 
 

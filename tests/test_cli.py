@@ -1,5 +1,6 @@
 """Command line contract: configs, CSV shapes, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import math
@@ -10,11 +11,15 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpb import cli
 from cpb import continuous as cont
 from cpb import discrete as disc
+from cpb import timescale as ts
 from cpb.core import ChangePointLaw, DiscreteHistory, History, PosteriorResult, RateSchedule
+from cpb.timescale import TimeScale, time_map
 
 
 # The config fixtures, shared with the byte-for-byte outputs in test_cli_golden.py.
@@ -538,6 +543,31 @@ class TestTransform:
             assert restored.rates.pre(k) == pytest.approx(original.rates.pre(k), rel=1e-14)
             assert restored.rates.post(k) == pytest.approx(original.rates.post(k), rel=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizon=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(1e-9, 1.0), max_size=12, unique=True),
+        gammas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=14),
+    )
+    def test_arrival_rows_match_time_map(self, horizon, fractions, gammas):
+        h = History(horizon, tuple(sorted({horizon * f for f in fractions})))
+        config = cli.ModelConfig("h", RateSchedule((1.0,), (2.0,)), ChangePointLaw.exponential(1.0), h)
+        args = argparse.Namespace(gammas=",".join(map(repr, gammas)), config_out=None)
+        scale = TimeScale(tuple(gammas))
+        rows = [r for r in cli.cmd_transform(config, args).rows if r[0] in ("arrival", "horizon")]
+        assert [(r[2], r[3]) for r in rows] == [(t, time_map(scale, h, t)) for t in (*h.arrivals, horizon)]
+
+    def test_one_command_builds_the_clock_at_most_twice(self, monkeypatch, capsys):
+        built, original = [], ts._knots
+
+        def counting_knots(scale, times):
+            built.append(len(times))
+            return original(scale, times)
+
+        monkeypatch.setattr(ts, "_knots", counting_knots)
+        assert run_cli(capsys, "transform", str(CFG / "exponential.cfg"), "--gammas", "2,1,0.5")[0] == 0
+        assert len(built) <= 2
+
     def test_regularize_needs_strict_dominance(self, tmp_path, capsys):
         path = write(tmp_path, "equal.cfg", EQUAL_RATES)
         code, _, err = run_cli(capsys, "transform", path, "--regularize")
@@ -678,7 +708,7 @@ class TestInProcessCalls:
         assert run_cli(capsys, "posterior", path)[0] == 0
         seen = []
 
-        def fake_posterior(args):
+        def fake_posterior(config, args):
             seen.append(args.config)
             return cli.Table(["x"], [[1]])
 
@@ -687,7 +717,34 @@ class TestInProcessCalls:
         assert seen == [path]
 
 
+# a window shorter than the coarsest grid slots, with no arrivals
+SHORT_EMPTY = """[rates]
+pre = 1, 1.2
+post = 2, 3.5
+
+[changepoint]
+family = exponential
+rate = 1
+
+[history]
+horizon = 0.5
+"""
+
+
 class TestConverge:
+    def test_horizon_on_slot_zero_is_inadmissible(self, tmp_path, capsys):
+        path = write(tmp_path, "short.cfg", SHORT_EMPTY)
+        code, out, _ = run_cli(capsys, "converge", path, "--m-list", "1,2,4,8")
+        assert code == cli.EXIT_OK
+        assert [(int(r["m"]), r["admissible"]) for r in rows_of(out)] == [
+            (1, "0"), (2, "0"), (4, "1"), (8, "1")]
+
+    def test_discrete_engine_on_horizon_slot_zero(self, tmp_path, capsys):
+        path = write(tmp_path, "short.cfg", SHORT_EMPTY)
+        code, out, err = run_cli(capsys, "posterior", path, "--engine", "discrete", "--m", "1")
+        assert (code, out) == (cli.EXIT_PRECONDITION, "")
+        assert err == "precondition error: grid factor 1 snaps the horizon to slot 0\n"
+
     def test_table_shape(self, tmp_path, capsys):
         path = write(tmp_path, "closed.cfg", CLOSED_FORM)
         code, out, _ = run_cli(capsys, "converge", path, "--m-list", "32,64,128")

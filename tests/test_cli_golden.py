@@ -68,6 +68,20 @@ CASES = [
     "simulate exponential.cfg --paths 20",
     "simulate zero-tail.cfg --paths 30 --seed 6",
     "posterior long-discrete.cfg --engine discrete",
+    # every "cannot run on this config" exit: a discrete config where a
+    # continuous one is needed, and each command without a [history]
+    "posterior discrete.cfg",
+    "posterior no-history.cfg",
+    "posterior no-history.cfg --engine discrete --m 8",
+    "posterior no-history-discrete.cfg --engine discrete",
+    "simulate no-history.cfg",
+    "converge discrete.cfg",
+    "converge no-history.cfg",
+    "verify discrete.cfg --suite convergence",
+    "verify discrete.cfg --suite counterexample",
+    "verify no-history.cfg --suite timescale",
+    "verify no-history-discrete.cfg --suite identities",
+    "transform discrete.cfg --regularize",
 ]
 
 

@@ -446,6 +446,25 @@ class TestSnapHistory:
         with pytest.raises(PreconditionError):
             snap_history(History(1.0, (0.1,)), 4)
 
+    def test_horizon_slot_zero_rejected(self):
+        with pytest.raises(PreconditionError, match="snaps the horizon to slot 0"):
+            snap_history(History(0.5), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        horizon=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(1e-9, 1.0), max_size=8, unique=True),
+        m=st.integers(1, 10**6),
+    )
+    def test_arrival_slots_stay_within_horizon_slot(self, horizon, fractions, m):
+        # fraction 1 puts an arrival exactly at the horizon
+        h = History(horizon, tuple(sorted({horizon * f for f in (*fractions, 1.0)})))
+        try:
+            snapped = snap_history(h, m)
+        except PreconditionError:
+            return
+        assert snapped.arrival_slots[-1] <= snapped.horizon_slot
+
 
 class TestConvergence:
     def test_unit_window_approaches_half(self):
