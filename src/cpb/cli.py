@@ -556,9 +556,14 @@ def cmd_transform(config: ModelConfig, args) -> Table:
             rows.append(["arrival", i, orig, new])
         new_horizon = ts.time_map(scale, h, h.horizon)
         rows.append(["horizon", 0, h.horizon, new_horizon])
-        new_history = History(new_horizon, mapped)
 
     if args.config_out:
+        if h is not None:
+            # arrivals an ulp apart can round onto one instant on the new clock
+            try:
+                new_history = History(new_horizon, mapped)
+            except ValueError as exc:
+                raise PreconditionError(f"the transformed history is not a valid history: {exc}") from None
         Path(args.config_out).write_text(emit_config(replace(config, rates=new_rates, history=new_history)))
     return Table(["record", "index", "value_in", "value_out"], rows)
 

@@ -557,6 +557,19 @@ class TestTransform:
         rows = [r for r in cli.cmd_transform(config, args).rows if r[0] in ("arrival", "horizon")]
         assert [(r[2], r[3]) for r in rows] == [(t, time_map(scale, h, t)) for t in (*h.arrivals, horizon)]
 
+    def test_arrivals_that_round_together_block_only_the_config_out(self, tmp_path, capsys):
+        # 3 * 0.9999999999999999 + 1 * 1.1e-16 rounds back to 3 * 0.9999999999999999
+        text = CLOSED_FORM.replace("arrivals =", "arrivals = 0.9999999999999999, 1.0")
+        path = write(tmp_path, "close.cfg", text)
+        code, out, _ = run_cli(capsys, "transform", path, "--gammas", "3,1")
+        assert code == 0
+        assert len([r for r in rows_of(out) if r["record"] == "arrival"]) == 2
+        out_cfg = tmp_path / "close-out.cfg"
+        code, _, err = run_cli(capsys, "transform", path, "--gammas", "3,1", "--out", str(out_cfg))
+        assert code == cli.EXIT_PRECONDITION
+        assert "transformed history" in err
+        assert not out_cfg.exists()
+
     def test_one_command_builds_the_clock_at_most_twice(self, monkeypatch, capsys):
         built, original = [], ts._knots
 
