@@ -309,9 +309,30 @@ def _continuous(config: ModelConfig, what: str):
     return config.continuous_model(), config.history
 
 
+def _grid_factor(value: int | str, option: str) -> int:
+    """A grid factor given as option: an integer >= 1."""
+    try:
+        m = int(value)
+    except ValueError:
+        m = 0
+    if m < 1:
+        raise PreconditionError(f"{option} needs integer grid factors >= 1, got {value}")
+    return m
+
+
+def _grid_factors(m_list: str) -> list[int]:
+    """The grid factors of --m-list: at least one, each an integer >= 1."""
+    factors = [_grid_factor(v, "--m-list") for v in _split_list(m_list)]
+    if not factors:
+        raise PreconditionError(f"--m-list needs at least one grid factor, got {m_list!r}")
+    return factors
+
+
 def _as_discrete(config: ModelConfig, what: str, m: int | None):
     """The slot-grid model and history for the command or suite named what: a
     discrete config's own, or a continuous one's snapped to grid factor m."""
+    if m is not None:
+        _grid_factor(m, "--m")
     if config.kind == "continuous" and m is None:
         raise PreconditionError("a continuous config needs --m to run on the slot grid")
     if config.history is None:
@@ -455,7 +476,7 @@ def _verify_identities(config: ModelConfig, args) -> Table:
 def _convergence_table(config: ModelConfig, m_list: str, what: str):
     """Convergence study rows, each with its CSV cells: scenario, m, admissible,
     discrete_posterior, continuous_posterior, abs_error."""
-    study = cont.convergence_study(*_continuous(config, what), [int(v) for v in _split_list(m_list)])
+    study = cont.convergence_study(*_continuous(config, what), _grid_factors(m_list))
     return [(row, [config.scenario, row.m, int(row.admissible), row.discrete_value,
                    row.reference, row.error]) for row in study]
 

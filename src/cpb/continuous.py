@@ -343,12 +343,16 @@ def convergence_study(
     discrete posterior survival, and records the absolute gap to the
     continuous value, which every row carries; resolutions whose snapping
     degenerates are reported as inadmissible instead of being silently
-    adjusted.
+    adjusted.  A factor below 1 is no resolution at all and raises
+    PreconditionError before any row.
     """
+    m_list = [int(m) for m in m_list]
+    for m in m_list:
+        if m < 1:
+            raise PreconditionError(f"grid factor must be >= 1, got {m}")
     reference = posterior_survival(model, h)
     rows: list[ConvergenceRow] = []
     for m in m_list:
-        m = int(m)
         try:
             snapped = snap_history(h, m)
             disc = discretize(model, m, slots=snapped.horizon_slot)

@@ -82,6 +82,15 @@ CASES = [
     "verify no-history.cfg --suite timescale",
     "verify no-history-discrete.cfg --suite identities",
     "transform discrete.cfg --regularize",
+    # grid factors below 1 and --m-list entries that are no integers: a bad
+    # option, not a snapping failure or an inadmissible row
+    "posterior readme.cfg --engine discrete --m 0",
+    "posterior closed-form.cfg --engine discrete --m -3",
+    "verify discrete.cfg --suite identities --m 0",
+    "converge readme.cfg --m-list 0,4",
+    "converge readme.cfg --m-list 4,x",
+    "converge readme.cfg --m-list ,",
+    "verify closed-form.cfg --suite convergence --m-list 16,0",
 ]
 
 

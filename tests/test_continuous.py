@@ -489,6 +489,12 @@ class TestConvergence:
         assert rows[0].admissible is False and rows[0].error is None
         assert rows[1].admissible is True
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_factor_below_one_is_rejected(self, m):
+        # no resolution at all, not an inadmissible row
+        with pytest.raises(PreconditionError, match=f"got {m}"):
+            convergence_study(closed_form_model(), History(1.0, (0.5,)), [64, m])
+
     def test_snapped_discrete_matches_direct_evaluation(self):
         model = closed_form_model()
         h = History(1.0, (0.5,))

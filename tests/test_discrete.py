@@ -382,17 +382,21 @@ def slot_by_slot_log_weights(model, h):
     return [w + post_sum for w in log_w], log_keep + pre_sum
 
 
+THRESHOLD = discrete._ARRAY_PASS_SLOTS
+
+
 @st.composite
 def models_and_histories(draw):
     """Listed rates of length 1-6, hazard lists shorter and longer than the
-    horizon, and histories from empty to full, with more arrivals than
-    listed counts and arrivals in the first and the last slot."""
+    horizon, horizons on both sides of the array pass's threshold, and
+    histories from empty to full, with more arrivals than listed counts and
+    arrivals in the first and the last slot."""
     probs = st.floats(1e-4, 0.95)
     listed = draw(st.integers(1, 6))
     pre = draw(st.lists(probs, min_size=listed, max_size=listed))
     post = draw(st.lists(probs, min_size=listed, max_size=listed))
-    n = draw(st.integers(1, 40))
-    hazards = draw(st.lists(st.floats(1e-4, 0.9), min_size=1, max_size=2 * n + 1))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 2 * THRESHOLD)))
+    hazards = draw(st.lists(st.floats(1e-4, 0.9), min_size=1, max_size=2 * min(n, 40) + 1))
     tail = draw(st.floats(1e-4, 0.9))
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
     flags = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -403,29 +407,61 @@ def models_and_histories(draw):
     return model, DiscreteHistory(n, tuple(sorted(slots)))
 
 
+def engine_log_weights(model, h):
+    """The engine's weights as a list, whichever pass built them, and its tail term."""
+    log_w, log_tail = discrete._log_weights(model, h)
+    assert type(log_tail) is float
+    return (log_w.tolist() if isinstance(log_w, np.ndarray) else log_w), log_tail
+
+
 class TestTablePassBitIdentity:
     """Every discrete quantity equals, bit for bit, its value from the
-    slot-by-slot weights above."""
+    slot-by-slot weights above, on both sides of the array pass's threshold."""
 
     @staticmethod
     def with_slot_by_slot(func, *args):
         with patch.object(discrete, "_log_weights", slot_by_slot_log_weights):
             return func(*args)
 
+    def assert_keeps_bits(self, model, h, joint_slots, shifts):
+        assert engine_log_weights(model, h) == slot_by_slot_log_weights(model, h)
+        value = posterior_survival(model, h)
+        assert type(value) is float
+        assert value == self.with_slot_by_slot(posterior_survival, model, h)
+        for j in joint_slots:
+            value = log_joint_weight(model, h, j)
+            assert type(value) is float
+            assert value == self.with_slot_by_slot(log_joint_weight, model, h, j)
+        for l in shifts:
+            rep = verify_shift_identities(model, h, l)
+            assert rep == self.with_slot_by_slot(verify_shift_identities, model, h, l)
+            fields = [rep.measured_gamma_mid, rep.measured_gamma_tail, rep.measured_delta,
+                      rep.posterior, rep.posterior_shifted, *rep.rel_errors.values()]
+            assert all(type(v) is float for v in fields)
+            assert rep.measured_alpha is None or type(rep.measured_alpha) is float
+
     @settings(max_examples=300, deadline=None)
     @given(models_and_histories(), st.data())
     def test_every_quantity_keeps_its_bits(self, case, data):
         model, h = case
         n = h.horizon_slot
-        assert discrete._log_weights(model, h) == slot_by_slot_log_weights(model, h)
-        assert posterior_survival(model, h) == self.with_slot_by_slot(posterior_survival, model, h)
-        for j in (1, n, data.draw(st.integers(1, n)), n + 1, data.draw(st.integers(n + 1, 3 * n + 5))):
-            assert log_joint_weight(model, h, j) == self.with_slot_by_slot(log_joint_weight, model, h, j)
         shiftable = [l for l in range(1, h.count + 1) if shift_operator(h, l) != h]
-        if shiftable:
-            l = data.draw(st.sampled_from(shiftable))
-            assert verify_shift_identities(model, h, l) == self.with_slot_by_slot(
-                verify_shift_identities, model, h, l)
+        self.assert_keeps_bits(
+            model, h,
+            (1, n, data.draw(st.integers(1, n)), n + 1, data.draw(st.integers(n + 1, 3 * n + 5))),
+            [data.draw(st.sampled_from(shiftable))] if shiftable else [])
+
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1])
+    def test_threshold_neighbours_keep_their_bits(self, n):
+        # an arrival in slot 1, free to shift, leaves the block before it empty
+        rng = np.random.default_rng(n)
+        model = DiscreteModel(RateSchedule((0.1, 0.15, 0.2), (0.3, 0.4, 0.5)),
+                              ChangePointLaw.discrete_hazard(tuple(rng.uniform(1e-3, 0.1, size=20))))
+        h = DiscreteHistory(n, (1, *(np.flatnonzero(rng.random(n - 2) < 0.3) + 3)))
+        assert isinstance(discrete._log_weights(model, h)[0], np.ndarray) == (n >= THRESHOLD)
+        assert verify_shift_identities(model, h, 1).measured_alpha is None
+        last = max(l for l in range(1, h.count + 1) if shift_operator(h, l) != h)
+        self.assert_keeps_bits(model, h, (1, n // 2, n, n + 1, 2 * n), [1, last])
 
     def test_long_history_keeps_its_bits(self):
         # thousands of slots, counts far past the listed rates, a hazard list
@@ -435,7 +471,19 @@ class TestTablePassBitIdentity:
                               ChangePointLaw.discrete_hazard(tuple(rng.uniform(1e-4, 1e-2, size=50))))
         n = 5000
         h = DiscreteHistory(n, np.flatnonzero(rng.random(n) < 0.3) + 1)
-        assert discrete._log_weights(model, h) == slot_by_slot_log_weights(model, h)
+        assert engine_log_weights(model, h) == slot_by_slot_log_weights(model, h)
+        assert posterior_survival(model, h) == self.with_slot_by_slot(posterior_survival, model, h)
+
+    def test_decisive_history_keeps_its_bits(self):
+        # most weights lie so far below the largest that math.exp takes them
+        # to 0.0, and the array logsumexp leaves them out
+        model = DiscreteModel(RateSchedule((0.01,), (0.9,)), ChangePointLaw.discrete_hazard((0.5,)))
+        h = DiscreteHistory(2000, np.flatnonzero(np.random.default_rng(4).random(2000) < 0.95) + 1)
+        log_w, _ = engine_log_weights(model, h)
+        top = max(log_w)
+        assert math.exp(discrete._EXP_ZERO_BELOW) == 0.0
+        assert sum(w - top < discrete._EXP_ZERO_BELOW for w in log_w) > 1000
+        assert log_w == slot_by_slot_log_weights(model, h)[0]
         assert posterior_survival(model, h) == self.with_slot_by_slot(posterior_survival, model, h)
 
 
