@@ -1,16 +1,19 @@
 """Command line front end: config files in, CSV out.
 
 Subcommands: posterior, simulate, verify, transform, converge.  Inputs are
-flat sectioned key=value files.  ``main`` reads the config, then runs the
-subcommand on it; each subcommand returns one ``Table``, and ``main`` writes
-it as CSV to stdout (or the file named by --out) with 17 significant
-digits, so values round-trip losslessly.  ``simulate`` yields one block of
-CSV text per path while it samples, so its memory does not grow with
---paths.  ``transform --out`` names the rewritten config file; its table
-always goes to stdout.  Exit codes: 0 success, 1 a verify suite's
-verdict failed, 2 config parse error, 3 precondition violation, 4 I/O
-error.  ``main(argv)`` can be called repeatedly in one process: it builds
-its argparse parser once, on the first call, and reuses it.
+flat sectioned key=value files.  A discrete slot list of ASCII digits,
+commas, blanks and tabs is read in one numpy pass; any other list (6.0,
+1e3, +5, junk) token by token, which also writes the error messages.
+``main`` reads the config, then runs the subcommand on it; each subcommand
+returns one ``Table``, and ``main`` writes it as CSV to stdout (or the
+file named by --out) with 17 significant digits, so values round-trip
+losslessly.  ``simulate`` yields one block of CSV text per path while it
+samples, so its memory does not grow with --paths.  ``transform --out``
+names the rewritten config file; its table always goes to stdout.  Exit
+codes: 0 success, 1 a verify suite's verdict failed, 2 config parse
+error, 3 precondition violation, 4 I/O error.  ``main(argv)`` can be
+called repeatedly in one process: it builds its argparse parser once, on
+the first call, and reuses it.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ _KNOWN_KEYS = {
 }
 
 
+_PLAIN_SEPARATORS = ", \t"
+_PLAIN_SLOT_BYTES = b"0123456789" + _PLAIN_SEPARATORS.encode()
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _split_list(raw: str) -> list[str]:
     return raw.replace(",", " ").split()
 
@@ -157,6 +165,14 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
             raise ConfigError(source, lineno, f"bad {what}: {exc}") from None
 
     def slots(raw: str, lineno: int, what: str) -> tuple[int, ...]:
+        # a plain list (ASCII digits, commas, blanks and tabs, at least one
+        # digit) in one numpy pass; strtoll saturates an overlong token at the
+        # int64 maximum, so such a list goes on to the token reader below
+        if (raw.isascii() and raw.strip(_PLAIN_SEPARATORS)
+                and not raw.encode().translate(None, _PLAIN_SLOT_BYTES)):
+            values = np.fromstring(raw.replace(",", " "), dtype=np.int64, sep=" ")
+            if values.max() < _INT64_MAX:
+                return tuple(values.tolist())
         try:
             return tuple(map(int, _split_list(raw)))
         except ValueError:

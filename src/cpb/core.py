@@ -571,15 +571,29 @@ class History:
 
 @dataclass(frozen=True)
 class DiscreteHistory:
-    """Observed arrivals on integer slots 1..horizon_slot."""
+    """Observed arrivals on integer slots 1..horizon_slot.
+
+    Slots and the horizon are integers: Python or numpy ints, or bools.  A
+    float is refused, even a whole one, rather than truncated.
+    """
 
     horizon_slot: int
     arrival_slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        slots = tuple(map(int, self.arrival_slots))
+        try:
+            slots = tuple(map(operator.index, self.arrival_slots))
+            horizon = operator.index(self.horizon_slot)
+        except TypeError:
+            # a value is no integer: find the first one for the message
+            for i, s in enumerate(self.arrival_slots):
+                try:
+                    operator.index(s)
+                except TypeError:
+                    raise ValueError(f"arrival slots must be integers, got {s!r} at index {i}") from None
+            raise ValueError(f"horizon slot must be an integer, got {self.horizon_slot!r}") from None
         object.__setattr__(self, "arrival_slots", slots)
-        object.__setattr__(self, "horizon_slot", int(self.horizon_slot))
+        object.__setattr__(self, "horizon_slot", horizon)
         if self.horizon_slot < 1:
             raise ValueError(f"horizon slot must be >= 1, got {self.horizon_slot}")
         if not slots or (slots[0] >= 1 and slots[-1] <= self.horizon_slot

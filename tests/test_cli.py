@@ -6,6 +6,7 @@ import io
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -139,6 +140,97 @@ def test_slot_error_exit_line_and_message(name, tmp_path, capsys):
     assert code == cli.EXIT_PARSE_ERROR == 2
     assert out == ""
     assert err == f"config error: {path}:{line}: {message}\n"
+
+
+# The slot reader against an oracle: a copy of the reader that went before
+# the numpy pass, which splits the list and reads each token with int(),
+# then float(), by itself.
+def oracle_slots(raw, source, lineno, what):
+    tokens = raw.replace(",", " ").split()
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        pass
+    try:
+        values = tuple(map(float, tokens))
+    except ValueError as exc:
+        raise cli.ConfigError(source, lineno, f"bad {what}: {exc}") from None
+    if not all(v.is_integer() for v in values):
+        raise cli.ConfigError(source, lineno, f"bad {what}: slots are whole numbers, got {raw!r}")
+    return tuple(int(v) for v in values)
+
+
+def oracle_history(horizon_raw, arrivals_raw, source):
+    """The history parse_config reads from the discrete fixture's horizon
+    (line 11) and arrivals (line 12), or the ConfigError it raises."""
+    horizon = oracle_slots(horizon_raw, source, 11, "horizon")
+    arrivals = oracle_slots(arrivals_raw, source, 12, "arrivals")
+    try:
+        if len(horizon) != 1:
+            raise ValueError(f"horizon must be one number, got {horizon_raw!r}")
+        DiscreteHistory(horizon[0])
+    except ValueError as exc:
+        raise cli.ConfigError(source, 11, str(exc)) from None
+    try:
+        return DiscreteHistory(horizon[0], arrivals)
+    except ValueError as exc:
+        raise cli.ConfigError(source, 12, str(exc)) from None
+
+
+SLOT_VALUES = st.one_of(st.integers(0, 60), st.integers(0, 10**20),
+                        st.sampled_from([10**17, 10**18, 2**63 - 1, 2**63, 10**19, 10**20 - 1]))
+PLAIN_SPELLINGS = ["{}", "00{}"]
+OTHER_SPELLINGS = ["+{}", "-{}", "{}.0", "{}.5", "{}e0", "1_{}", "{}x"]
+JUNK = ["٣", "3٣", ".", "e", "_", "+", "-", "1e3", "6.0"]
+
+
+@st.composite
+def slot_token(draw, plain=False):
+    """One list item: a whole number in one of its spellings, or else junk."""
+    spelling = draw(st.sampled_from(PLAIN_SPELLINGS if plain else PLAIN_SPELLINGS + OTHER_SPELLINGS))
+    token = spelling.format(draw(SLOT_VALUES))
+    return token if plain else draw(st.one_of(st.just(token), st.sampled_from(JUNK)))
+
+
+@st.composite
+def slot_list(draw):
+    """Tokens with runs of commas, blanks and tabs around and between them;
+    half the lists hold plain tokens only, half of those sorted by value."""
+    plain = draw(st.booleans())
+    tokens = draw(st.lists(slot_token(plain), max_size=6))
+    if plain and draw(st.booleans()):
+        tokens.sort(key=int)
+    separator = st.text(alphabet=", \t", max_size=3)
+    return draw(separator) + "".join(t + draw(separator.filter(bool)) for t in tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(horizon=st.one_of(st.just(str(10**20)), slot_token(), slot_list()), arrivals=slot_list())
+def test_slot_reader_matches_oracle(horizon, arrivals):
+    text = (DISCRETE.replace("horizon = 6", f"horizon = {horizon}")
+            .replace("arrivals = 2, 4", f"arrivals = {arrivals}"))
+    source = "slots.cfg"
+    try:
+        expected = replace(cli.parse_config(DISCRETE, source),
+                           history=oracle_history(horizon.strip(), arrivals.strip(), source))
+    except cli.ConfigError as exc:
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(text, source)
+        assert str(err.value) == str(exc)
+    else:
+        config = cli.parse_config(text, source)
+        assert config == expected
+        assert all(type(s) is int for s in (config.history.horizon_slot, *config.history.arrival_slots))
+
+
+def test_long_slot_list_ending_in_junk(tmp_path, capsys):
+    # a guard that backtracks over the whole line would take minutes here
+    arrivals = ", ".join(map(str, range(1, 100_000))) + ", x"
+    path = write(tmp_path, "junk.cfg", DISCRETE.replace("horizon = 6", "horizon = 100000")
+                 .replace("arrivals = 2, 4", f"arrivals = {arrivals}"))
+    code, out, err = run_cli(capsys, "posterior", path, "--engine", "discrete")
+    assert (code, out) == (cli.EXIT_PARSE_ERROR, "")
+    assert err == f"config error: {path}:12: bad arrivals: could not convert string to float: 'x'\n"
 
 
 def test_steep_weibull_past_float_range(capsys):

@@ -91,6 +91,15 @@ CASES = [
     "converge readme.cfg --m-list 4,x",
     "converge readme.cfg --m-list ,",
     "verify closed-form.cfg --suite convergence --m-list 16,0",
+    # slot list spellings: whole-number floats, signs, leading zeros, tabs,
+    # doubled commas, tokens at and past the int64 range, a non-ASCII digit
+    # and a list of separators only
+    "posterior slots-float.cfg --engine discrete",
+    "posterior slots-spelling.cfg --engine discrete",
+    "posterior slots-19-digits.cfg --engine discrete",
+    "posterior slots-19-digits-int64.cfg --engine discrete",
+    "posterior slots-non-ascii.cfg --engine discrete",
+    "posterior slots-commas.cfg --engine discrete",
 ]
 
 

@@ -264,6 +264,27 @@ class TestHistories:
             DiscreteHistory(6, slots)
         assert str(err.value) == message
 
+    # a slot or horizon that is no integer is refused, not truncated
+    @pytest.mark.parametrize("horizon, slots, message", [
+        (5, (2.7, 4.2), "arrival slots must be integers, got 2.7 at index 0"),
+        (5, (1, 3, 4.5), "arrival slots must be integers, got 4.5 at index 2"),
+        (5, (1, 2.0), "arrival slots must be integers, got 2.0 at index 1"),
+        (5, np.array([1.5, 3.9]), f"arrival slots must be integers, got {np.float64(1.5)!r} at index 0"),
+        (5, ("3",), "arrival slots must be integers, got '3' at index 0"),
+        (5.9, (1,), "horizon slot must be an integer, got 5.9"),
+        (6.0, (), "horizon slot must be an integer, got 6.0"),
+        (5.9, (1.5,), "arrival slots must be integers, got 1.5 at index 0"),
+    ])
+    def test_discrete_history_refuses_non_integers(self, horizon, slots, message):
+        with pytest.raises(ValueError) as err:
+            DiscreteHistory(horizon, slots)
+        assert str(err.value) == message
+
+    def test_discrete_history_accepts_bools(self):
+        h = DiscreteHistory(True, (True,))
+        assert h == DiscreteHistory(1, (1,))
+        assert all(type(s) is int for s in (h.horizon_slot, *h.arrival_slots))
+
 
 # -- the domination order ---------------------------------------------------
 
