@@ -233,6 +233,7 @@ def test_long_slot_list_ending_in_junk(tmp_path, capsys):
     assert err == f"config error: {path}:12: bad arrivals: could not convert string to float: 'x'\n"
 
 
+@pytest.mark.filterwarnings("error")
 def test_steep_weibull_past_float_range(capsys):
     # (horizon / scale) ** shape = (2e6) ** 50 is beyond the largest double:
     # the switch has surely happened, and no power may overflow on the way
@@ -242,6 +243,7 @@ def test_steep_weibull_past_float_range(capsys):
     assert (row["prob_before"], row["prob_after"], row["intensity"]) == ("0", "1", "2")
 
 
+@pytest.mark.filterwarnings("error")
 def test_weibull_mode_far_below_horizon(capsys):
     # the law's mass sits near its mode, about 0.87, thirteen orders of
     # magnitude below the horizon: the first stretch must still find it
@@ -405,6 +407,15 @@ def weibull_survival_oracle(pre, post, shape, scale, horizon, arrivals):
         return stay / (stay + change)
 
 
+def test_weibull_fixture_matches_oracle(capsys):
+    # the golden weibull posterior, against the 30-digit oracle
+    code, out, err = run_cli(capsys, "posterior", str(CFG / "weibull.cfg"))
+    assert code == 0, err
+    (row,) = rows_of(out)
+    survival = weibull_survival_oracle(0.8, 2.0, 1.5, 2.5, 4.1, (0.3, 1.2, 2.9, 3.3))
+    assert float(row["prob_before"]) == pytest.approx(float(survival), rel=1e-12)
+
+
 # Far-tail weibull histories: the switch mass sits where the density
 # exp(-(u/scale)^shape) is far below the smallest double, so the segment
 # integral must be shifted by the peak of the whole log integrand, and the
@@ -420,6 +431,7 @@ FAR_TAIL = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(FAR_TAIL))
 def test_weibull_far_tail_matches_oracle(name, tmp_path, capsys):
     pre, post, shape, scale, horizon, arrivals = FAR_TAIL[name]
@@ -733,6 +745,15 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                                 check=True, timeout=120)
         assert result.stdout.strip() == "False"
+
+    def test_weibull_posterior_leaves_scipy_unloaded(self):
+        # the weibull segment integral is the package's own rule
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from cpb import cli; "
+                "code = cli.main(['posterior', sys.argv[2]]); print(code, 'scipy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code, src, str(CFG / "weibull.cfg")],
+                                capture_output=True, text=True, check=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 class TestWitnessSerialization:

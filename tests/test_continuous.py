@@ -1,15 +1,17 @@
 """Continuous engine: likelihood kernel, posterior integration, sampling, grids."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import cpb.continuous as continuous_module
+import cpb.core as core_module
 from cpb.core import (
     TAIL_REPEAT,
     TAIL_ZERO,
@@ -309,6 +311,55 @@ class TestForwardPass:
         res = intensity(model, h)
         assert 0.0 <= res.prob_before <= 1.0
         assert 1.2 <= res.intensity <= 3.2
+
+
+@st.composite
+def weibull_cases(draw):
+    """Weibull laws, shape 0.3 to 8 and scale 0.1 to 10, with up to 40 arrivals.
+
+    The horizon keeps (horizon / scale)^shape below 30, and the rates keep the
+    direct log likelihood, which ``oracle_survival`` exponentiates unshifted,
+    within 500 of 0 at every switch time, so the oracle neither underflows
+    nor overflows.
+    """
+    shape, scale = draw(st.floats(0.3, 8.0)), draw(st.floats(0.1, 10.0))
+    horizon = scale * draw(st.floats(0.05, min(30.0 ** (1.0 / shape), 50.0)))
+    k = draw(st.integers(0, 40))
+    size = draw(st.integers(1, 3))
+    # rates of about k / horizon arrivals per unit time, either regime faster
+    rate = st.floats(0.2, 5.0).map(lambda r: r * (k + 1) / horizon)
+    pre = draw(st.lists(rate, min_size=size, max_size=size))
+    post = draw(st.lists(rate, min_size=size, max_size=size))
+    cum = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=k + 1, max_size=k + 1)))
+    arrivals = tuple(float(horizon * c / cum[-1]) for c in cum[:k])
+    model = ContinuousModel(RateSchedule(tuple(pre), tuple(post)), ChangePointLaw.weibull(shape, scale))
+    h = History(horizon, arrivals)
+    switch_times = (0.0, *arrivals, horizon, math.inf)
+    assume(all(abs(log_likelihood_given_changepoint(model, h, u)) < 500.0 for u in switch_times))
+    return model, h
+
+
+@settings(max_examples=30, deadline=None)
+@given(weibull_cases())
+def test_weibull_posterior_matches_segmentwise_oracle(case):
+    model, h = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = intensity(model, h)
+    expected = oracle_survival(model, h)
+    assert res.prob_before == pytest.approx(expected, rel=1e-9)
+    assert res.prob_after == pytest.approx(1.0 - expected, rel=1e-9)
+
+
+def test_gauss_kronrod_constants_integrate_monomials():
+    # on [0, 1] the 21-point Kronrod rule is exact to degree 31 and its
+    # 10-point Gauss rule to degree 19, so a wrong digit in a node or weight shows
+    kronrod, difference = core_module._GK_WEIGHTS
+    for degree in range(32):
+        powers = core_module._GK_NODES[:, 0] ** degree
+        assert abs(kronrod @ powers - 1.0 / (degree + 1)) < 1e-14, degree
+        if degree <= 19:
+            assert abs((kronrod - difference) @ powers - 1.0 / (degree + 1)) < 1e-14, degree
 
 
 class TestSamplePath:

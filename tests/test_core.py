@@ -86,6 +86,16 @@ class TestChangePointLaw:
             assert far == pytest.approx(near, rel=1e-12, abs=1e-12)
         assert w.segment_integral(1e6, 2e6, -3.0, None, -1.0) == -math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_weibull_segment_without_likelihood(self):
+        # no likelihood at a stretch's start means no mass in it, alone or
+        # in a batch, as for the closed-form laws
+        w = ChangePointLaw.weibull(1.5, 1.0)
+        assert w.segment_integral(0.5, 1.0, -math.inf, -math.inf, 1.0) == -math.inf
+        got = w.segment_integrals((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (-1.0, -math.inf, -2.0), (0.0,) * 3, (1.0,) * 3)
+        assert got[1] == -math.inf
+        assert got[::2] == [w.segment_integral(0.0, 0.5, -1.0, 0.0, 1.0), w.segment_integral(1.0, 2.0, -2.0, 0.0, 1.0)]
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             ChangePointLaw.table([(1.0, 0.5), (2.0, 0.4), (3.0, 1.0)])  # decreasing value
@@ -189,6 +199,7 @@ FIRST_STRETCHES = [(1e-3, 30.0, 100.0), (1.0, 1e-3, 0.1), (30.0, 1.0, 2.5), (1e3
 # 1.2e-8 in the log on the flat-slope stretch
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("shape", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.5, 4.0, 8.0])
+@pytest.mark.filterwarnings("error")
 def test_weibull_first_stretch_matches_oracle(shape, sign):
     la = -3.0
     for magnitude, rel, scale in FIRST_STRETCHES:
@@ -219,12 +230,26 @@ def weibull_far_stretch_oracle(shape, scale, b, la, slope):
 # (shape 8) the power (b / scale)^shape leaves the float range
 @pytest.mark.parametrize("slope", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("shape", [1.5, 2.0, 3.0, 5.0, 8.0])
+@pytest.mark.filterwarnings("error")
 def test_weibull_far_first_stretch_matches_oracle(shape, slope):
     la = -3.0
     for rel in (1e13, 1e30, 1e100):
         got = ChangePointLaw.weibull(shape, 1.0).segment_integral(0.0, rel, la, la + slope * rel, slope)
         exact = weibull_far_stretch_oracle(shape, 1.0, rel, la, slope)
         assert abs(got - float(exact)) <= 1e-12, rel
+
+
+def test_weibull_batch_rows_do_not_depend_on_the_batch():
+    # a stretch's integral comes out bit for bit the same alone and among
+    # others: mapped first stretches, bisected ones, and ones in u
+    rng = np.random.default_rng(3)
+    a = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 10.0, 40))))
+    b = a + rng.uniform(0.05, 2.0, a.size)
+    la, slope = rng.uniform(-5.0, 0.0, a.size), rng.uniform(-30.0, 30.0, a.size)
+    law = ChangePointLaw.weibull(0.7, 3.0)
+    together = law.segment_integrals(a, b, la, la, slope)
+    alone = [law.segment_integral(*row) for row in zip(a, b, la, la, slope)]
+    assert together == alone
 
 
 class TestHistories:

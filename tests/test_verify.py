@@ -113,31 +113,39 @@ class TestTheorem1Sweep:
             assert serial.violations
 
     def test_continuous_sweep_quadrature_evaluations(self, monkeypatch):
-        # a deterministic cost guard: the weibull first stretch (0, b] is
-        # integrated in a variable without the u^(shape - 1) endpoint
-        # singularity, so quad stays within 4 Gauss-Kronrod panels there
-        from scipy import integrate
+        # a deterministic cost guard on the weibull rule, counted in integrand
+        # evaluations (21 nodes a panel, every round): the first stretch (0, b]
+        # is integrated in a variable without the u^(shape - 1) endpoint
+        # singularity, so it stays within 4 Gauss-Kronrod panels
+        from collections import Counter
 
-        quad, counts = integrate.quad, []
+        from cpb import core
 
-        def counting_quad(func, lo, hi, **kwargs):
-            calls = [0]
+        integrals, integrand, batches = core._weibull_segment_integrals, core._weibull_log_integrand, []
 
-            def counted(x):
-                calls[0] += 1
-                return func(x)
+        def counting_integrals(shape, scale, a, b, la, slope):
+            # one batch per sweep instance: the first stretches of its two
+            # histories, which are either different or the same
+            firsts = Counter((bi, li, si) for ai, bi, li, si in zip(a, b, la, slope) if ai == 0.0)
+            batches.append([firsts, Counter(), 0])
+            return integrals(shape, scale, a, b, la, slope)
 
-            try:
-                return quad(counted, lo, hi, **kwargs)
-            finally:
-                counts.append((lo, calls[0]))
+        def counting_integrand(x, offset, n_mapped, k):
+            # the mapped panels lead, those of a first stretch start from x = 0,
+            # and the panels of a stretch share its constants
+            for p in np.flatnonzero(k[0, :n_mapped] == 0.0):
+                batches[-1][1][tuple(k[:, p])] += x.shape[0]
+            batches[-1][2] += x.size
+            return integrand(x, offset, n_mapped, k)
 
-        monkeypatch.setattr(integrate, "quad", counting_quad)
+        monkeypatch.setattr(core, "_weibull_segment_integrals", counting_integrals)
+        monkeypatch.setattr(core, "_weibull_log_integrand", counting_integrand)
         monkeypatch.setenv("THREADS", "1")
         theorem1_sweep(SweepConfig(engine="continuous", instances=200, seed=0))
-        first = [n for lo, n in counts if lo == 0.0]
+        first = [n * len(firsts) / sum(firsts.values())
+                 for firsts, panels, _ in batches for n in panels.values()]
         assert first and max(first) <= 4 * 21
-        assert sum(n for _, n in counts) < 12_000
+        assert sum(total for *_, total in batches) < 12_000
 
     def test_exact_and_oracle_engines_agree_on_sweep_instances(self):
         # the instances the sweep draws must get the same verdict from the
