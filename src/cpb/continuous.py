@@ -8,9 +8,11 @@ the posterior reduces to per-stretch integrals against the switch law,
 which each law class gives as ``segment_integrals``: closed form for the
 exponential and table families, exact evaluation for point masses, and
 for the weibull density an adaptive Gauss-Kronrod (G10/K21) rule run on
-all the stretches of a history at once, in numpy, to 1e-11 of each
-stretch's integral.  The weibull rule runs a stretch that starts at or
-near 0, the first one always, in x = (u / b)^(shape / j) with
+all the stretches of a history at once, in numpy, which bisects a panel
+while its error estimate exceeds 1e-11 of its stretch's running total (a
+bound per panel: a stretch's summed estimate stays below 1e-11 times its
+panel count, at most 200).  The weibull rule runs a stretch that starts
+at or near 0, the first one always, in x = (u / b)^(shape / j) with
 j = max(3, ceil(shape)), where the density's u^(shape - 1) factor turns
 into the smooth x^(j - 1); a later stretch (a, b] stays in u, because
 its left end (a / b)^(shape / j) would lose relative width when a is
@@ -59,7 +61,6 @@ __all__ = [
     "log_likelihood_given_changepoint",
     "posterior_survival",
     "intensity",
-    "intensities",
     "intensity_path",
     "sample_path",
     "discretize",
@@ -133,9 +134,9 @@ def log_likelihood_given_changepoint(model: ContinuousModel, h: History, u: floa
     return log_like
 
 
-def _forward(model: ContinuousModel, histories) -> list[list[tuple[float, float, float]]]:
-    """One pass over the arrivals of each history: its (instant, log_change,
-    log_stay) at every arrival instant and at the horizon.
+def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, float]]:
+    """One pass over the arrivals: (instant, log_change, log_stay) at every
+    arrival instant and at the horizon.
 
     log_stay is the log likelihood of the history up to the instant when
     the switch has not happened by then, log_change the log of the
@@ -149,52 +150,42 @@ def _forward(model: ContinuousModel, histories) -> list[list[tuple[float, float,
     that ends there.
 
     A stretch's integral does not depend on log_change, so a first loop
-    collects the stretches of every history, one ``segment_integrals`` call
-    evaluates them all, and a second loop adds them up.  Each step costs
-    O(1) (O(log knots) for a table law).
+    collects the stretches, one ``segment_integrals`` call evaluates them
+    all, and a second loop adds them up.  Each step costs O(1)
+    (O(log knots) for a table law).
     """
     rates = model.rates
-    listed = min(rates.size, max((h.count for h in histories), default=0) + 1)
-    pre_rates, post_rates = rates.pre_change[:listed], rates.post_change[:listed]
-    # (pre, post, their logs) at each listed count a history reaches, and past them
-    counts = [*zip(pre_rates, post_rates, map(_log, pre_rates), map(_log, post_rates))]
+    pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
     pre_tail, post_tail = rates.pre(listed), rates.post(listed)
-    tail = (pre_tail, post_tail, _log(pre_tail), _log(post_tail))
-    trails, stretches = [], []  # (instant, step, log_stay, gains mass); (a, b, la, lb, slope)
-    for h in histories:
-        k = h.count
-        trail = []
-        log_stay = 0.0
-        a = 0.0
-        for i, b in enumerate((*h.arrivals, h.horizon)):
-            pre, post, log_pre, log_post = counts[i] if i < listed else tail
-            if i == k:
-                # the horizon closes the last stretch without an arrival
-                log_pre = log_post = 0.0
-            width = b - a
-            step, gains = 0.0, False
-            if width > 0.0:
-                step = log_post - post * width
-                la = log_stay + step
-                if la > -math.inf:
-                    gains = True
-                    stretches.append((a, b, la, log_stay + log_post - pre * width, post - pre))
-            log_stay += log_pre - pre * width
-            trail.append((b, step, log_stay, gains))
-            a = b
-        trails.append(trail)
+    trail, stretches = [], []  # (instant, step, log_stay, gains mass); (a, b, la, lb, slope)
+    k = h.count
+    log_stay = 0.0
+    a = 0.0
+    for i, b in enumerate((*h.arrivals, h.horizon)):
+        pre = pre_rates[i] if i < listed else pre_tail
+        post = post_rates[i] if i < listed else post_tail
+        # the horizon closes the last stretch without an arrival
+        log_pre, log_post = (_log(pre), _log(post)) if i < k else (0.0, 0.0)
+        width = b - a
+        step, gains = 0.0, False
+        if width > 0.0:
+            step = log_post - post * width
+            la = log_stay + step
+            if la > -math.inf:
+                gains = True
+                stretches.append((a, b, la, log_stay + log_post - pre * width, post - pre))
+        log_stay += log_pre - pre * width
+        trail.append((b, step, log_stay, gains))
+        a = b
     masses = iter(model.law.segment_integrals(*zip(*stretches)) if stretches else ())
-    paths = []
-    for trail in trails:
-        log_change = -math.inf
-        path = []
-        for b, step, log_stay, gains in trail:
-            log_change += step
-            if gains:
-                log_change = _log_add(log_change, next(masses))
-            path.append((b, log_change, log_stay))
-        paths.append(path)
-    return paths
+    log_change = -math.inf
+    path = []
+    for b, step, log_stay, gains in trail:
+        log_change += step
+        if gains:
+            log_change = _log_add(log_change, next(masses))
+        path.append((b, log_change, log_stay))
+    return path
 
 
 def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
@@ -206,40 +197,23 @@ def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
     (O(k log knots) for a table law).
     """
     law, rates, k = model.law, model.rates, h.count
-    (path,) = _forward(model, (h,))
     return [
         PosteriorResult.from_survival(
             rates, min(i + 1, k), survival_from_log_masses(log_change, law.log_sf(instant) + log_stay)
         )
-        for i, (instant, log_change, log_stay) in enumerate(path)
+        for i, (instant, log_change, log_stay) in enumerate(_forward(model, h))
     ]
-
-
-def _survivals(model: ContinuousModel, histories) -> list[float]:
-    """Posterior probability that the switch lies beyond the horizon, for
-    each history, from one batch of stretch integrals."""
-    survivals = []
-    for h, path in zip(histories, _forward(model, histories)):
-        _, log_change, log_stay = path[-1]
-        survivals.append(survival_from_log_masses(log_change, model.law.log_sf(h.horizon) + log_stay))
-    return survivals
 
 
 def posterior_survival(model: ContinuousModel, h: History) -> float:
     """Posterior probability that the switch lies beyond the horizon."""
-    return _survivals(model, (h,))[0]
+    _, log_change, log_stay = _forward(model, h)[-1]
+    return survival_from_log_masses(log_change, model.law.log_sf(h.horizon) + log_stay)
 
 
 def intensity(model: ContinuousModel, h: History) -> PosteriorResult:
     """Arrival intensity at the horizon: posterior mixture of the two rates."""
     return PosteriorResult.from_survival(model.rates, h.count, posterior_survival(model, h))
-
-
-def intensities(model: ContinuousModel, histories) -> list[PosteriorResult]:
-    """``intensity`` at the horizon of each of several histories under one
-    model; their stretch integrals come from one batch."""
-    return [PosteriorResult.from_survival(model.rates, h.count, survival)
-            for h, survival in zip(histories, _survivals(model, histories))]
 
 
 _EXP_BLOCK = 64

@@ -254,10 +254,6 @@ class Weibull(ChangePointLaw):
     def cdf(self, x: float) -> float:
         return -math.expm1(-_power(x / self.scale, self.shape)) if x > 0.0 else 0.0
 
-    def sf(self, x: float) -> float:
-        # from log_sf: 1 - cdf loses every digit in the tail
-        return math.exp(self.log_sf(x))
-
     def log_sf(self, x: float) -> float:
         return -_power(x / self.scale, self.shape) if x > 0.0 else 0.0
 
@@ -269,7 +265,8 @@ class Weibull(ChangePointLaw):
 
     def segment_integrals(self, a, b, la, lb, slope):
         # adaptive Gauss-Kronrod panels on all the stretches at once, each
-        # stretch to 1e-11 of its own integral (_weibull_batch)
+        # panel's error estimate held to 1e-11 of its stretch's running
+        # total (_weibull_batch)
         return _weibull_segment_integrals(self.shape, self.scale, a, b, la, slope).tolist()
 
     def segment_integral(self, a, b, la, lb, slope):
@@ -530,17 +527,13 @@ def _weibull_segment_integrals(shape: float, scale: float, a, b, la, slope) -> n
     if cut:
         u_max = math.exp(log_scale + _LOG_POWER_MAX / shape)
         k[1] = np.where(shape * (np.log(k[1]) - log_scale) > _LOG_POWER_MAX, u_max, k[1])
-    mapped = k[0] < _MAPPED_BELOW * k[1]
-    n_mapped = int(np.count_nonzero(mapped))
-    if not cut and -math.inf not in la and np.count_nonzero(mapped[:n_mapped]) == n_mapped:
-        return _weibull_batch(shape, scale, k, n_mapped)
     # the batch takes the stretches it maps ahead of the others, and none
     # that start past u_max or with no likelihood at their start
+    mapped = k[0] < _MAPPED_BELOW * k[1]
     order = np.argsort(~mapped, kind="stable")
     order = order[((k[0] < k[1]) & (k[2] > -math.inf))[order]]
-    n_mapped = int(np.count_nonzero(mapped[order]))
     out = np.full(len(a), -math.inf)
-    out[order] = _weibull_batch(shape, scale, k[:, order], n_mapped)
+    out[order] = _weibull_batch(shape, scale, k[:, order], int(np.count_nonzero(mapped[order])))
     return out
 
 
@@ -560,7 +553,9 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> 
     and sums each panel in log space from its largest node value.  A panel
     is bisected for the next round while QUADPACK's error estimate from its
     Kronrod - Gauss difference exceeds 1e-11 of its stretch's running total,
-    until the stretch has 200 panels.
+    until the stretch has 200 panels.  The bound holds per panel, so the
+    summed estimate of a stretch with n panels is below n 1e-11 of its
+    integral, where QUADPACK holds the sum itself to the tolerance.
 
     Every stretch starts as one panel.  One whose panel fails the first
     round starts over from the break points of ``_weibull_breaks``, if it
@@ -594,11 +589,7 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> 
     kronrod, diff, top = _gk_sums(values)
     log_panel = np.log(kronrod * width)
     log_panel += top
-    # a panel within 200 |K - G|, which bounds QUADPACK's error estimate,
-    # needs no estimate
-    fail = np.abs(diff) > (_GK_REL_TOL / 200.0) * kronrod
-    if np.count_nonzero(fail):
-        fail = _gk_error(values, kronrod, diff) > _GK_REL_TOL * kronrod
+    fail = _gk_error(values, kronrod, diff) > _GK_REL_TOL * kronrod
     if not np.count_nonzero(fail):
         return log_panel
 
@@ -640,12 +631,14 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> 
         log_panel = np.log(kronrod * width)
         log_panel += top
         excess = log_panel - ref[row]
-        if np.maximum.reduce(excess) > 600.0:
+        big = excess > 600.0
+        if np.count_nonzero(big):
             # a panel far above its stretch's first estimate: shift the
-            # stretch's running total to its largest panel
+            # stretch's running total to its largest such panel, and leave
+            # the other stretches alone
             old = ref
             ref = ref.copy()
-            np.maximum.at(ref, row, log_panel)
+            np.maximum.at(ref, row[big], log_panel[big])
             converged *= np.exp(old - ref)
             excess = log_panel - ref[row]
         # a panel fails when its error estimate exceeds 1e-11 of its
@@ -707,6 +700,19 @@ def _gk_error(values, kronrod, diff):
     return spread * ratio * np.sqrt(ratio)
 
 
+def _column_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base ** exponent for a contiguous base and one exponent per column.
+
+    numpy rounds a power differently in its vector loop, taken for
+    contiguous operands of one shape, than in the loops it takes for a
+    broadcast exponent, and which loop a broadcast takes depends on the
+    number of columns.  With the exponent spread to the base's shape, a
+    panel's values do not depend on the other panels of its batch."""
+    spread = np.empty_like(base)
+    spread[:] = exponent
+    return np.power(base, spread, out=spread)
+
+
 def _weibull_log_integrand(x, offset, n_mapped: int, k):
     """The log integrand A + B (x - D) + C log(x E) - F (x E)^Q at the nodes x
     of a round, one panel per column, with B x^M in place of B (x - D) in the
@@ -715,14 +721,14 @@ def _weibull_log_integrand(x, offset, n_mapped: int, k):
     _, _, a, b, c, e, f, q, m = k
     t = offset
     if n_mapped:
-        np.power(x[:, :n_mapped], m[:n_mapped], out=t[:, :n_mapped])
+        t[:, :n_mapped] = _column_power(np.ascontiguousarray(x[:, :n_mapped]), m[:n_mapped])
     t *= b
     t += a
     z = x * e
     log_z = np.log(z)
     log_z *= c
     t += log_z
-    np.power(z, q, out=z)
+    z = _column_power(z, q)
     z *= f
     t -= z
     return t

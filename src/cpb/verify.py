@@ -121,11 +121,8 @@ class SweepReport:
 
 def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
     """The four Witness value fields of a history pair in the requested engine."""
-    if engine == "discrete":
-        low, high = disc.intensity(model, h_low), disc.intensity(model, h_high)
-    else:
-        # one batch of stretch integrals for both histories
-        low, high = cont.intensities(model, (h_low, h_high))
+    intensity = disc.intensity if engine == "discrete" else cont.intensity
+    low, high = intensity(model, h_low), intensity(model, h_high)
     return {"posterior_low": low.prob_before, "posterior_high": high.prob_before,
             "intensity_low": low.intensity, "intensity_high": high.intensity}
 

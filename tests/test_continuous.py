@@ -219,7 +219,9 @@ def oracle_survival(model, h):
     of the integrand is smooth; a point mass is evaluated where it sits.
     """
     t, law = h.horizon, model.law
-    no_change = law.sf(t) * math.exp(log_likelihood_given_changepoint(model, h, math.inf))
+    # the weibull sf, 1 - cdf, loses its digits in the tail
+    sf = float(mp.exp(-(mp.mpf(t) / law.scale) ** law.shape)) if law.family == "weibull" else law.sf(t)
+    no_change = sf * math.exp(log_likelihood_given_changepoint(model, h, math.inf))
     if law.family == "point-mass":
         u0 = law.location
         change = math.exp(log_likelihood_given_changepoint(model, h, u0)) if u0 <= t else 0.0

@@ -239,14 +239,23 @@ def test_weibull_far_first_stretch_matches_oracle(shape, slope):
         assert abs(got - float(exact)) <= 1e-12, rel
 
 
-def test_weibull_batch_rows_do_not_depend_on_the_batch():
+@pytest.mark.parametrize("shape", [0.7, 2.0])
+def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     # a stretch's integral comes out bit for bit the same alone and among
-    # others: mapped first stretches, bisected ones, and ones in u
+    # others: mapped first stretches, bisected ones, and ones in u.  The
+    # last stretch reaches far past the law's mass, so its panels land far
+    # above its first estimate and its running total moves; the steep ones
+    # before it have panels a little above their own first estimates in
+    # the same rounds, and their totals must stay where they are
     rng = np.random.default_rng(3)
     a = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 10.0, 40))))
     b = a + rng.uniform(0.05, 2.0, a.size)
     la, slope = rng.uniform(-5.0, 0.0, a.size), rng.uniform(-30.0, 30.0, a.size)
-    law = ChangePointLaw.weibull(0.7, 3.0)
+    # (a, b, la, slope) of the steep stretches and of the far one
+    extra = [(1.0, 6.0, -1.0, -500.0), (2.0, 12.0, -1.0, -1000.0), (3.0, 8.0, -1.0, -500.0),
+             (1.5, 21.5, -1.0, -200.0), (0.0, 1e13, -1.0, 0.0)]
+    a, b, la, slope = (np.concatenate((column, added)) for column, added in zip((a, b, la, slope), zip(*extra)))
+    law = ChangePointLaw.weibull(shape, 3.0)
     together = law.segment_integrals(a, b, la, la, slope)
     alone = [law.segment_integral(*row) for row in zip(a, b, la, la, slope)]
     assert together == alone
