@@ -164,15 +164,17 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
         except ValueError as exc:
             raise ConfigError(source, lineno, f"bad {what}: {exc}") from None
 
-    def slots(raw: str, lineno: int, what: str) -> tuple[int, ...]:
+    def slots(raw: str, lineno: int, what: str) -> tuple[int, ...] | np.ndarray:
         # a plain list (ASCII digits, commas, blanks and tabs, at least one
-        # digit) in one numpy pass; strtoll saturates an overlong token at the
-        # int64 maximum, so such a list goes on to the token reader below
+        # digit) in one numpy pass, kept as the int64 array that
+        # DiscreteHistory checks in numpy; strtoll saturates an overlong
+        # token at the int64 maximum, so such a list goes on to the token
+        # reader below
         if (raw.isascii() and raw.strip(_PLAIN_SEPARATORS)
                 and not raw.encode().translate(None, _PLAIN_SLOT_BYTES)):
             values = np.fromstring(raw.replace(",", " "), dtype=np.int64, sep=" ")
             if values.max() < _INT64_MAX:
-                return tuple(values.tolist())
+                return values
         try:
             return tuple(map(int, _split_list(raw)))
         except ValueError:

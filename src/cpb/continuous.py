@@ -295,7 +295,14 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
     switch law is the conditional probability of switching within each
     width-1/m cell; for an exponential law one value repeats exactly, for
     other laws the first ``slots`` cells are tabulated and the caller must
-    say how many it needs.
+    say how many it needs.  Each cell must get a probability strictly
+    between 0 and 1, or the law is not representable on the grid.
+
+    The cells are tabulated in blocks of 64, 128, 256, ... cells, with one
+    ``law.cell_hazards`` call per block (numpy on the log survival for a
+    weibull law, ``sf`` per cell otherwise).  A block that holds a
+    refused cell raises at once, so a grid of 1e9 cells whose law is
+    refused early costs no more than its first few blocks.
     """
     if m < 1:
         raise PreconditionError(f"grid factor must be >= 1, got {m}")
@@ -314,21 +321,22 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
             raise PreconditionError(
                 "a non-exponential law needs an explicit slot count to tabulate"
             )
-        vals = []
-        prev_sf = 1.0
-        for j in range(1, slots + 1):
-            sf = law.sf(j / m)
-            if prev_sf <= 0.0:
+        blocks = []
+        lo, size = 0, 64
+        while lo < slots:
+            hi = min(slots, lo + size)
+            # edges j / m for j = lo..hi: the floats that Python's j / m gives
+            haz = law.cell_hazards(np.arange(lo, hi + 1) / m)
+            refused = np.flatnonzero(~((haz > 0.0) & (haz < 1.0)))
+            if refused.size:
+                j = int(refused[0])
                 raise PreconditionError(
-                    f"switch law loses all mass before slot {j}; grid cannot represent it"
+                    f"cell {lo + j + 1} has switch probability {float(haz[j])}; "
+                    "law not representable on this grid"
                 )
-            haz = (prev_sf - sf) / prev_sf
-            if not 0.0 < haz < 1.0:
-                raise PreconditionError(
-                    f"cell {j} has switch probability {haz}; law not representable on this grid"
-                )
-            vals.append(haz)
-            prev_sf = sf
+            blocks.append(haz)
+            lo, size = hi, 2 * size
+        vals = np.concatenate(blocks)
         disc_law = ChangePointLaw.discrete_hazard(vals, tail=vals[-1])
     return DiscreteModel(rates=model.rates.scaled(1.0 / m), law=disc_law)
 

@@ -169,7 +169,10 @@ class ChangePointLaw:
     arguments, one entry per stretch, and returns the list of their
     integrals; by default it maps ``segment_integral``, and ``Weibull``
     replaces it with an adaptive Gauss-Kronrod rule run on all the
-    stretches at once.  The discrete family ``Hazard`` gives ``hazard``,
+    stretches at once.  ``cell_hazards(edges)`` gives the probability of
+    switching within each cell between consecutive edges, given no switch
+    before it; by default it maps ``sf``, and ``Weibull`` replaces it with
+    numpy on its log survival.  The discrete family ``Hazard`` gives ``hazard``,
     and ``sf``/``log_sf`` at an integer slot.  An operation of the other
     kind raises ValueError.
 
@@ -198,6 +201,11 @@ class ChangePointLaw:
 
     def segment_integrals(self, a, b, la, lb, slope) -> list[float]:
         return list(map(self.segment_integral, a, b, la, lb, slope))
+
+    def cell_hazards(self, edges) -> np.ndarray:
+        # a cell past a survival of 0 has no conditional probability: nan
+        sf = list(map(self.sf, np.asarray(edges).tolist()))
+        return np.array([(p - s) / p if p > 0.0 else math.nan for p, s in zip(sf, sf[1:])])
 
     def sf(self, x: float) -> float:
         """Probability that the switch happens strictly after x."""
@@ -254,11 +262,23 @@ class Weibull(ChangePointLaw):
     def cdf(self, x: float) -> float:
         return -math.expm1(-_power(x / self.scale, self.shape)) if x > 0.0 else 0.0
 
+    def sf(self, x: float) -> float:
+        # from the log: 1 - cdf reads 0.0 in the tail, where the survival is not
+        return math.exp(self.log_sf(x))
+
     def log_sf(self, x: float) -> float:
         return -_power(x / self.scale, self.shape) if x > 0.0 else 0.0
 
     def _ppf(self, q: float) -> float:
         return self.scale * (-math.log1p(-q)) ** (1.0 / self.shape)
+
+    def cell_hazards(self, edges) -> np.ndarray:
+        # -expm1 of each cell's drop in log survival, which keeps a cell's
+        # mass where (sf_prev - sf) / sf_prev rounds it to 0.0 or 1.0.  A
+        # power past the float range is inf, as in log_sf, and its cell
+        # gets 1.0; inf - inf gives nan only in later cells
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -np.expm1(-np.diff((np.asarray(edges) / self.scale) ** self.shape))
 
     def _scaled_time(self, factor: float) -> "Weibull":
         return Weibull(self.shape, self.scale * factor)
@@ -376,7 +396,9 @@ class Table(ChangePointLaw):
 class Hazard(ChangePointLaw):
     """Integer-slot switch time: entry m of ``values`` is the probability of
     switching at slot m given no switch before, and ``tail`` (default: the
-    last value) repeats past them, so any horizon is covered."""
+    last value) repeats past them, so any horizon is covered.  ``values``
+    is stored as a tuple of floats; a numpy array of them, as
+    ``discretize`` tabulates, is range-checked in one numpy pass."""
 
     values: tuple[float, ...]
     tail: float | None = None
@@ -384,13 +406,21 @@ class Hazard(ChangePointLaw):
     kind = "discrete"
 
     def __post_init__(self):
-        vals = _as_float_tuple(self.values)
+        if isinstance(self.values, np.ndarray):
+            values = self.values.astype(float, copy=False)
+            vals = tuple(values.tolist())
+            inside = bool(((values > 0.0) & (values < 1.0)).all())
+        else:
+            vals = _as_float_tuple(self.values)
+            inside = all(0.0 < v < 1.0 for v in vals)
         if not vals:
             raise ValueError("discrete hazard needs at least one entry")
         t = float(self.tail) if self.tail is not None else vals[-1]
-        for m, v in enumerate(vals + (t,)):
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"per-slot switch probability must lie in (0, 1), got {v} at {m}")
+        if not (inside and 0.0 < t < 1.0):
+            # find the first value out of range for the message
+            for m, v in enumerate(vals + (t,)):
+                if not 0.0 < v < 1.0:
+                    raise ValueError(f"per-slot switch probability must lie in (0, 1), got {v} at {m}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail", t)
 
@@ -832,15 +862,31 @@ class DiscreteHistory:
     """Observed arrivals on integer slots 1..horizon_slot.
 
     Slots and the horizon are integers: Python or numpy ints, or bools.  A
-    float is refused, even a whole one, rather than truncated.
+    float is refused, even a whole one, rather than truncated.  The slots
+    are stored as a tuple of Python ints.  A 1-D numpy integer array of
+    slots, such as the config reader's, is checked for order and bounds in
+    one numpy pass, and the history keeps a read-only intp copy of it for
+    the discrete engine's array pass (``_slot_array``); for other input
+    that copy is built on first use.
     """
 
     horizon_slot: int
     arrival_slots: tuple[int, ...] = ()
+    # not a field: neither compared, hashed nor shown
+    _array = None
 
     def __post_init__(self):
+        array = self.arrival_slots
+        if not (isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iu"
+                and np.can_cast(array.dtype, np.intp)):
+            array = None
         try:
-            slots = tuple(map(operator.index, self.arrival_slots))
+            if array is None:
+                slots = tuple(map(operator.index, self.arrival_slots))
+            else:
+                # a copy: the caller may change its array afterwards
+                array = array.astype(np.intp)
+                slots = tuple(array.tolist())
             horizon = operator.index(self.horizon_slot)
         except TypeError:
             # a value is no integer: find the first one for the message
@@ -854,8 +900,13 @@ class DiscreteHistory:
         object.__setattr__(self, "horizon_slot", horizon)
         if self.horizon_slot < 1:
             raise ValueError(f"horizon slot must be >= 1, got {self.horizon_slot}")
-        if not slots or (slots[0] >= 1 and slots[-1] <= self.horizon_slot
-                         and all(map(operator.lt, slots, slots[1:]))):
+        if not slots or (slots[0] >= 1 and slots[-1] <= self.horizon_slot and (
+                all(map(operator.lt, slots, slots[1:])) if array is None
+                # a comparison, unlike np.diff, cannot wrap around int64
+                else bool((array[1:] > array[:-1]).all()))):
+            if array is not None:
+                array.flags.writeable = False
+                object.__setattr__(self, "_array", array)
             return
         # the history is invalid: find the first offending slot for the message
         prev = 0
@@ -869,6 +920,14 @@ class DiscreteHistory:
     @property
     def count(self) -> int:
         return len(self.arrival_slots)
+
+    def _slot_array(self) -> np.ndarray:
+        """The arrival slots as a read-only intp array."""
+        if self._array is None:
+            array = np.array(self.arrival_slots, dtype=np.intp)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
 
 
 @dataclass(frozen=True)

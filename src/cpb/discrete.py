@@ -17,8 +17,18 @@ handful of float additions, made in one of two ways:
 - from 128 slots on, numpy gathers the same addends per slot and runs the
   three running sums as cumulative sums, and the log-sum-exp hands
   ``math.exp`` only the weights whose exponential is not 0.0: about 30 us
-  of fixed cost, then 0.08-0.12 us per slot for a whole posterior at 1e4
-  to 1e5 slots.
+  of fixed cost, then 0.08-0.15 us per slot for a whole posterior at 1e4
+  to 1e5 slots with one listed hazard.
+
+The array pass reads the arrival slots from the history's read-only intp
+array (``DiscreteHistory._slot_array``): the config reader's int64 array,
+copied once when the history is built, or, for a history built from a
+tuple, made from it on first use.  The listed hazards' logs go into
+arrays through ``np.fromiter`` over ``math.log`` and ``math.log1p``, whose
+bits numpy's own logs do not keep.  Those two calls per listed hazard are
+the one per-slot Python cost left, so a grid that lists a hazard per slot
+(a ``discretize``d law that is not exponential) costs about 0.45-0.5 us per
+slot.
 
 Timed on a 2-core x86 VM under Python 3.11 and numpy 2.4, the two cross
 between 96 and 128 slots, so the verify sweeps' histories of at most 16
@@ -30,6 +40,7 @@ weight, tail term and posterior keeps its bits whichever pass made it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,11 +159,15 @@ def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float] 
     factors = [(math.log1p(-p), math.log1p(-q), math.log(p), math.log(q))
                for p, q in zip(rates.pre_change[:counts], rates.post_change[:counts])]
     listed = law.values[:n]
-    log_haz = [math.log(v) for v in listed]
-    log_stay = [math.log1p(-v) for v in listed]
     log_tail_haz, log_tail_stay = math.log(law.tail), math.log1p(-law.tail)
     if n >= _ARRAY_PASS_SLOTS:
-        return _array_pass(factors, (log_haz, log_tail_haz), (log_stay, log_tail_stay), n, slots)
+        # math's logs, which numpy's do not match bit for bit, straight into arrays
+        log_haz = np.fromiter(map(math.log, listed), float, len(listed))
+        log_stay = np.fromiter(map(math.log1p, map(operator.neg, listed)), float, len(listed))
+        return _array_pass(factors, (log_haz, log_tail_haz), (log_stay, log_tail_stay), n,
+                           h._slot_array())
+    log_haz = [math.log(v) for v in listed]
+    log_stay = [math.log1p(-v) for v in listed]
     rest = n - len(listed)
     log_haz += [log_tail_haz] * rest
     log_stay += [log_tail_stay] * rest
@@ -180,17 +195,18 @@ def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float] 
     return [w + post_sum for w in log_w], log_keep + pre_sum
 
 
-def _array_pass(factors, log_haz, log_stay, n: int, slots) -> tuple[np.ndarray, float]:
+def _array_pass(factors, log_haz, log_stay, n: int, slots: np.ndarray) -> tuple[np.ndarray, float]:
     """``_log_weights`` from its log tables, for many slots: the same addends
     gathered per slot by numpy, and the running sums as ``np.add.accumulate``.
-    ``log_haz`` and ``log_stay`` each pair the listed values with the tail's.
+    ``log_haz`` and ``log_stay`` each pair the listed values' array with the
+    tail's value, and ``slots`` is the history's intp array of arrival slots.
 
     A 1-D accumulate adds in sequence, and each sum starts from 0.0 as the
     loop's does, so the sums, and the weights taken from them in the same
     order, keep the loop's bits.
     """
     hit = np.zeros(n, dtype=np.intp)
-    hit[np.array(slots, dtype=np.intp) - 1] = 1
+    hit[slots - 1] = 1
     # each slot's entry in the flat factor table: its count of earlier
     # arrivals, capped at the last listed one, picks the row, and no arrival
     # or arrival the column pair

@@ -100,6 +100,11 @@ CASES = [
     "posterior slots-19-digits-int64.cfg --engine discrete",
     "posterior slots-non-ascii.cfg --engine discrete",
     "posterior slots-commas.cfg --engine discrete",
+    # grids tabulated block by block: a weibull law in numpy, a table law
+    # refused at a flat stretch, and a law refused at once on 3e7-5e8 cells
+    "converge weibull.cfg --m-list 16,64,256",
+    "converge table.cfg --m-list 16,64,256",
+    "converge weibull-steep.cfg",
 ]
 
 

@@ -1,7 +1,10 @@
 """Continuous engine: likelihood kernel, posterior integration, sampling, grids."""
 
 import math
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +34,10 @@ from cpb.continuous import (
     sample_path,
     snap_history,
 )
+from cpb.cli import load_config
 from cpb.discrete import posterior_survival as discrete_posterior
+
+GOLDEN_CFG = Path(__file__).resolve().parent / "golden" / "cfg"
 
 
 def closed_form_model():
@@ -483,6 +489,99 @@ class TestDiscretize:
         model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.point_mass(0.5))
         with pytest.raises(PreconditionError):
             discretize(model, 16, slots=16)
+
+    def test_weibull_tail_cells_representable(self):
+        # sf as 1 - cdf read 0.0 from u = 6.25 on, which refused cell 25
+        # (u in (6, 6.25]) with switch probability 1.0
+        model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.weibull(2.0, 1.0))
+        disc = discretize(model, 4, slots=40)
+        assert disc.law.hazard(25) == pytest.approx(-math.expm1(-3.0625), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weibull_power_past_float_range_refused_quietly(self):
+        # 2**1000 is finite and refuses cell 2; 3**1000 overflows to inf and
+        # inf - inf is nan from cell 4 on, both in the same block
+        model = ContinuousModel(RateSchedule((0.1,), (0.2,)), ChangePointLaw.weibull(1000.0, 1.0))
+        with pytest.raises(PreconditionError, match="^cell 2 has switch probability 1.0;"):
+            discretize(model, 1, slots=10)
+
+    # each refused at its first bad cell, before any later block is tabulated
+    @pytest.mark.parametrize("cfg, m, message", [
+        # (1/m)**50 underflows to 0.0 here, so cell 1 has no mass, as 1 - sf read it
+        ("weibull-steep.cfg", 2**22, "cell 1 has switch probability 0.0"),
+        # cell 1's mass (1/16)**50 = 6e-61 is kept; 1 - sf read it as 0.0
+        ("weibull-steep.cfg", 16, "cell 18 has switch probability 1.0"),
+        ("weibull-steep.cfg", 1000, "cell 1146 has switch probability 1.0"),
+        ("point-mass.cfg", 64, "cell 1 has switch probability 0.0"),
+        ("table.cfg", 64, "cell 33 has switch probability 0.0"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_refused_law_stops_at_first_bad_cell(self, cfg, m, message):
+        model = load_config(GOLDEN_CFG / cfg).continuous_model()
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError) as err:
+                discretize(model, m, slots=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{message}; law not representable on this grid"
+        assert peak < 50e6
+
+
+def per_cell_hazards(law, m, slots):
+    """The per-cell loop that discretize ran before ``cell_hazards``: the
+    cell hazards up to the first refused cell, with each cell's survival at
+    its right edge, and the refusal as (cell, probability), or None."""
+    cells, prev_sf = [], 1.0
+    for j in range(1, slots + 1):
+        sf = law.sf(j / m)
+        haz = (prev_sf - sf) / prev_sf
+        if not 0.0 < haz < 1.0:
+            return cells, (j, haz)
+        cells.append((haz, sf))
+        prev_sf = sf
+    return cells, None
+
+
+@st.composite
+def table_laws(draw):
+    """Table laws of 1-5 knots, flat stretches included."""
+    size = draw(st.integers(1, 5))
+    times = np.cumsum(draw(st.lists(st.floats(0.05, 3.0), min_size=size, max_size=size)))
+    levels = sorted(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7]) | st.floats(0.0, 1.0),
+                                  min_size=size - 1, max_size=size - 1))) + [1.0]
+    return ChangePointLaw.table(tuple(zip(times.tolist(), levels)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(table_laws(), st.floats(0.01, 5.0).map(ChangePointLaw.point_mass)),
+       st.integers(1, 64), st.integers(1, 300))
+def test_mapped_cell_hazards_keep_the_loop_bits(law, m, slots):
+    cells, refusal = per_cell_hazards(law, m, slots)
+    model = ContinuousModel(RateSchedule((0.1,), (0.2,)), law)
+    if refusal is None:
+        assert discretize(model, m, slots=slots).law.values == tuple(h for h, _ in cells)
+    else:
+        with pytest.raises(PreconditionError) as err:
+            discretize(model, m, slots=slots)
+        assert str(err.value).startswith(f"cell {refusal[0]} has switch probability {refusal[1]};")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.3, 8.0), st.floats(0.1, 10.0), st.integers(1, 200), st.integers(1, 400))
+@pytest.mark.filterwarnings("error")
+def test_weibull_cell_hazards_match_the_loop(shape, scale, m, slots):
+    # the loop's (prev_sf - sf) / prev_sf loses about 2e-16 / h of its
+    # value to cancellation, and a subnormal sf most of its digits, so the
+    # two agree to 1e-12 where h >= 1e-3 and sf is a normal float
+    law = ChangePointLaw.weibull(shape, scale)
+    cells, _ = per_cell_hazards(law, m, slots)
+    hazards = law.cell_hazards(np.arange(slots + 1) / m)
+    assert hazards.shape == (slots,)
+    for got, (haz, sf) in zip(hazards.tolist(), cells):
+        if haz >= 1e-3 and sf >= sys.float_info.min:
+            assert got == pytest.approx(haz, rel=1e-12)
 
 
 class TestSnapHistory:

@@ -75,6 +75,12 @@ class TestChangePointLaw:
         assert w.cdf(2e6) == 1.0
         assert w.log_sf(1.0) == -1.0
 
+    def test_weibull_sf_keeps_the_tail(self):
+        # 1 - cdf read 0.0 here, and 7.28306e-14 against 7.28772e-14 at 5.5
+        w = ChangePointLaw.weibull(2.0, 1.0)
+        assert w.sf(7.0) == pytest.approx(math.exp(-49.0), rel=1e-15)
+        assert w.sf(5.5) == pytest.approx(math.exp(-30.25), rel=1e-15)
+
     def test_weibull_segment_past_float_range(self):
         # the integrand vanishes long before (u / scale) ** shape overflows:
         # a segment reaching that far carries the mass of its finite part,
@@ -145,6 +151,27 @@ class TestChangePointLaw:
             ChangePointLaw.discrete_hazard((0.0,))
         with pytest.raises(ValueError):
             ChangePointLaw.discrete_hazard((0.5,), tail=1.0)
+
+    @pytest.mark.parametrize("values, tail, message", [
+        ((0.2, 0.0, 0.3), None, "got 0.0 at 1"),
+        ((0.2, 0.3, 1.0), None, "got 1.0 at 2"),
+        ((0.2, math.nan), 0.5, "got nan at 1"),
+        ((0.2, 0.3), 1.5, "got 1.5 at 2"),
+        ((), None, "discrete hazard needs at least one entry"),
+    ])
+    def test_discrete_hazard_array_like_tuple(self, values, tail, message):
+        # an array is checked in numpy, a tuple value by value: the same
+        # law, or the same message naming the first value out of range
+        outcomes = []
+        for given in (np.array(values, dtype=float), values):
+            with pytest.raises(ValueError) as err:
+                ChangePointLaw.discrete_hazard(given, tail)
+            outcomes.append(str(err.value))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].endswith(message)
+        law = ChangePointLaw.discrete_hazard(np.array([0.25, 0.5]))
+        assert law == ChangePointLaw.discrete_hazard((0.25, 0.5))
+        assert all(type(v) is float for v in (*law.values, law.tail))
 
     def test_scaled_time(self):
         law = ChangePointLaw.exponential(1.0).scaled_time(2.0)
@@ -318,6 +345,64 @@ class TestHistories:
         h = DiscreteHistory(True, (True,))
         assert h == DiscreteHistory(1, (1,))
         assert all(type(s) is int for s in (h.horizon_slot, *h.arrival_slots))
+
+    @pytest.mark.parametrize("slots", [(0, 1), (2, 4, 4), (4, 2), (2, 7), (2, 7, 1), (3, 1, 9)])
+    def test_discrete_history_int64_array_names_first_fault(self, slots):
+        # zero, duplicate, unordered and beyond-horizon slots: the tuple's message
+        with pytest.raises(ValueError) as from_tuple:
+            DiscreteHistory(6, slots)
+        with pytest.raises(ValueError) as from_array:
+            DiscreteHistory(6, np.array(slots, dtype=np.int64))
+        assert str(from_array.value) == str(from_tuple.value)
+
+    def test_discrete_history_int64_array_cannot_wrap(self):
+        # 1 then -2**63: a difference of the two wraps around to a positive
+        # int64, a comparison does not
+        slots = np.array([1, -2**63], dtype=np.int64)
+        with pytest.raises(ValueError, match="must strictly increase, got -9223372036854775808 at index 1"):
+            DiscreteHistory(6, slots)
+
+
+def history_or_message(n, slots):
+    try:
+        return DiscreteHistory(n, slots)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def int64_slot_arrays(draw):
+    """A horizon and an int64 slot array: half of them a valid history, the
+    rest anything, with zeros, duplicates, disorder, slots past the horizon
+    and the ends of the int64 range."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        slots = sorted(draw(st.sets(st.integers(1, n), max_size=60)))
+    else:
+        slots = draw(st.lists(st.one_of(st.integers(-2, n + 2),
+                                        st.sampled_from([-2**63, 2**63 - 1])), max_size=12))
+    return n, np.array(slots, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_slot_arrays())
+def test_discrete_history_from_int64_array_matches_tuple(case):
+    n, array = case
+    from_array = history_or_message(n, array)
+    from_tuple = history_or_message(n, tuple(array.tolist()))
+    if isinstance(from_tuple, str):
+        assert from_array == from_tuple
+        return
+    assert from_array == from_tuple
+    assert hash(from_array) == hash(from_tuple)
+    assert all(type(s) is int for s in (from_array.horizon_slot, *from_array.arrival_slots))
+    # the history's copy is its own: changing the caller's array leaves it be
+    array += 1
+    assert from_array == from_tuple
+    for h in (from_array, from_tuple):
+        copy = h._slot_array()
+        assert copy.dtype == np.intp and not copy.flags.writeable
+        assert copy.tolist() == list(h.arrival_slots)
 
 
 # -- the domination order ---------------------------------------------------
