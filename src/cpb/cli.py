@@ -24,6 +24,7 @@ import csv
 import functools
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -467,6 +468,11 @@ def _verify_counterexample(config: ModelConfig, args) -> Table:
 
 def _verify_identities(config: ModelConfig, args) -> Table:
     model, history = _as_discrete(config, "identities suite", args.m)
+    if config.instances < 1:
+        raise PreconditionError("instances must be >= 1")
+    if history.horizon_slot < 2:
+        raise PreconditionError(f"identities suite needs a horizon of at least 2 slots to shift "
+                                f"an arrival, got {history.horizon_slot}")
     rng = np.random.default_rng(config.seed)
     worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
     checked = 0
@@ -531,12 +537,11 @@ def _verify_timescale(config: ModelConfig, args) -> Table:
     mismatches = 0
     for pid in range(200):
         path = cont.sample_path(model, horizon=horizon, seed=np.random.default_rng((config.seed, pid)))
-        mapped = ts.transform_path(gammas, path)
-        for t in list(path.arrival_times) + [horizon * 0.5, horizon]:
-            g_t = ts.path_clock(gammas, path, t)
-            n_orig = sum(1 for x in path.arrival_times if x <= t)
-            n_mapped = sum(1 for x in mapped.arrival_times if x <= g_t * (1 + 1e-12))
-            mismatches += n_orig != n_mapped
+        times, mapped = path.arrival_times, ts.transform_path(gammas, path).arrival_times
+        # at an arrival the clock reads its mapped instant, exactly as path_clock would
+        ends = (horizon * 0.5, horizon)
+        for t, g_t in zip((*times, *ends), (*mapped, *(ts.path_clock(gammas, path, x) for x in ends))):
+            mismatches += bisect_right(times, t) != bisect_right(mapped, g_t * (1 + 1e-12))
     check("count_closure", mismatches, mismatches == 0)
 
     # constant-speed posterior invariance

@@ -2,7 +2,8 @@
 
 The rescaled clock runs at speed gamma_k between the k-th and (k+1)-th
 arrivals, so it is piecewise linear along each path and strictly
-increasing.  Mapping a path through it multiplies the k-th interarrival by
+increasing; each call reads it off one knot table per history or path.
+Mapping a path through it multiplies the k-th interarrival by
 gamma_{k-1}, and the model stays in the same family with every rate
 divided by the speed active at its count.  Choosing the speeds
 proportional to the rate gaps makes the transformed gaps strictly
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .core import PreconditionError, RateSchedule, validate_rates
 from .continuous import History, PathSample
@@ -55,41 +57,38 @@ class TimeScale:
 
 def _knots(scale: TimeScale, times) -> list[float]:
     """Rescaled clock readings [0, c1, ..., ck] at time 0 and at each arrival."""
-    knots = [0.0]
-    prev = 0.0
-    for k, t in enumerate(times):
-        knots.append(knots[-1] + scale.gamma(k) * (t - prev))
-        prev = t
-    return knots
+    speeds = chain(scale.gammas, repeat(scale.gammas[-1]))
+    steps = (g * (t - prev) for g, t, prev in zip(speeds, times, (0.0, *times)))
+    return list(accumulate(steps, initial=0.0))
 
 
-def _clock(scale: TimeScale, times: tuple[float, ...], x: float) -> float:
-    """Rescaled clock reading at original time x along the given arrivals."""
+def _clock(scale: TimeScale, times: tuple[float, ...], knots: list[float], x: float) -> float:
+    """Rescaled clock reading at original time x, read off the arrivals' knots."""
     count = bisect_right(times, x)
     prev = times[count - 1] if count else 0.0
-    return _knots(scale, times[:count])[-1] + scale.gamma(count) * (x - prev)
+    return knots[count] + scale.gamma(count) * (x - prev)
 
 
 def time_map(scale: TimeScale, h: History, t: float) -> float:
     """Rescaled clock reading at time t of the observation window."""
     if not 0.0 <= t <= h.horizon:
         raise ValueError(f"time {t} outside [0, {h.horizon}]")
-    return _clock(scale, h.arrivals, t)
+    return _clock(scale, h.arrivals, _knots(scale, h.arrivals), t)
 
 
 def path_clock(scale: TimeScale, path: PathSample, t: float) -> float:
     """Rescaled clock reading at time t along a simulated path."""
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return _clock(scale, path.arrival_times, t)
+    return _clock(scale, path.arrival_times, _knots(scale, path.arrival_times), t)
 
 
 def inverse_time_map(scale: TimeScale, h: History, s: float) -> float:
     """Original time whose rescaled clock reading is s."""
-    top = _clock(scale, h.arrivals, h.horizon)
+    knots = _knots(scale, h.arrivals)
+    top = _clock(scale, h.arrivals, knots, h.horizon)
     if not 0.0 <= s <= top:
         raise ValueError(f"clock value {s} outside [0, {top}]")
-    knots = _knots(scale, h.arrivals)
     idx = bisect_right(knots, s) - 1
     base_t = 0.0 if idx == 0 else h.arrivals[idx - 1]
     return base_t + (s - knots[idx]) / scale.gamma(idx)
@@ -103,8 +102,9 @@ def transform_path(scale: TimeScale, path: PathSample) -> PathSample:
     has exactly the original arrival counts at corresponding instants.
     """
     times = path.arrival_times
-    new_change = _clock(scale, times, path.change_time) if math.isfinite(path.change_time) else math.inf
-    return PathSample(change_time=new_change, arrival_times=tuple(_knots(scale, times)[1:]), seed=path.seed)
+    knots = _knots(scale, times)
+    new_change = _clock(scale, times, knots, path.change_time) if math.isfinite(path.change_time) else math.inf
+    return PathSample(change_time=new_change, arrival_times=tuple(knots[1:]), seed=path.seed)
 
 
 def transform_rates(scale: TimeScale, rates: RateSchedule) -> RateSchedule:

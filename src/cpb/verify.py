@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,6 +237,8 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     workers = _worker_count()
     indices = range(cfg.instances)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads the pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_instance, [cfg] * cfg.instances, indices, chunksize=64))
     else:
@@ -415,13 +416,18 @@ def catania_bridge_check(rates: RateSchedule, m_list) -> CataniaBridgeReport:
     increasing gaps it must hold for every sufficiently large factor.  A
     row is flagged borderline when the worst margin is within one squared
     cell probability of zero, which is where schedules with tied gaps sit.
+    A factor below 1 raises PreconditionError before any row.
     """
+    m_list = [int(m) for m in m_list]
+    for m in m_list:
+        if m < 1:
+            raise PreconditionError(f"grid factor must be >= 1, got {m}")
     base = validate_rates(rates)
     if not base.assu_strict:
         raise PreconditionError("bridge check needs strictly dominating post-change rates")
     bound = rates.size + 1
     rows: list[CataniaBridgeRow] = []
-    for m in sorted(int(m) for m in m_list):
+    for m in sorted(m_list):
         if rates.max_rate() / m >= 1.0:
             rows.append(
                 CataniaBridgeRow(m=m, admissible=False, ser_holds=None, min_margin=None, borderline=False)

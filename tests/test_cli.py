@@ -606,6 +606,29 @@ class TestVerifySuites:
         rows = rows_of(out)
         assert all(r["status"] in ("pass", "skipped") for r in rows)
 
+    def test_timescale_suite_clock_work_is_linear_in_the_arrivals(self, tmp_path, monkeypatch, capsys):
+        # each path's knot table is built a bounded number of times, so the knot
+        # steps grow with the arrivals sampled, not with their square
+        sampled, steps, knots, sample = [], [], ts._knots, cont.sample_path
+
+        def counting_sample(*args, **kwargs):
+            path = sample(*args, **kwargs)
+            sampled.append(len(path.arrival_times))
+            return path
+
+        def counting_knots(scale, times):
+            steps.append(len(times))
+            return knots(scale, times)
+
+        monkeypatch.setattr(cont, "sample_path", counting_sample)
+        monkeypatch.setattr(ts, "_knots", counting_knots)
+        text = (CFG / "timescale-long.cfg").read_text().replace("horizon = 100", "horizon = 20")
+        code, out, _ = run_cli(capsys, "verify", write(tmp_path, "ts.cfg", text), "--suite", "timescale")
+        assert code == 0
+        assert len(sampled) == 200 and sum(sampled) > 200 * 100
+        assert len(steps) <= 3 * len(sampled)
+        assert sum(steps) <= 3 * sum(sampled)
+
 
 class TestTransform:
     def test_identity_speeds(self, tmp_path, capsys):
@@ -739,12 +762,14 @@ class TestLawFamilies:
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is most of the start-up time; only the weibull law needs it
+        # scipy is most of the start-up time; only the weibull law needs it.  The
+        # process pool is loaded only by a sweep that runs on more than one worker.
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys; sys.path.insert(0, sys.argv[1]); import cpb.cli; print('scipy' in sys.modules)"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import cpb.cli; "
+                "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                                 check=True, timeout=120)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
     def test_weibull_posterior_leaves_scipy_unloaded(self):
         # the weibull segment integral is the package's own rule

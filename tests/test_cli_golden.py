@@ -105,6 +105,12 @@ CASES = [
     "converge weibull.cfg --m-list 16,64,256",
     "converge table.cfg --m-list 16,64,256",
     "converge weibull-steep.cfg",
+    # the timescale suite on paths of about 1000 arrivals: one knot table per path
+    "verify timescale-long.cfg --suite timescale",
+    # the identities suite refuses, before any row, when it can check no instance:
+    # none asked for, or one slot, where no arrival can shift
+    "verify identities-no-instances.cfg --suite identities",
+    "verify one-slot.cfg --suite identities",
 ]
 
 

@@ -1,5 +1,8 @@
 """Clock rescaling: the map itself, path transforms, rate transforms, speeds."""
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +138,54 @@ class TestTransformPath:
                 n_orig = sum(1 for x in path.arrival_times if x <= t)
                 n_mapped = sum(1 for x in mapped.arrival_times if x <= g_t * (1 + 1e-12))
                 assert n_mapped == n_orig
+
+
+def _prefix_knots(scale, times):
+    """Reference: the clock at 0 and at each arrival, one speed lookup per step."""
+    knots = [0.0]
+    prev = 0.0
+    for k, t in enumerate(times):
+        knots.append(knots[-1] + scale.gamma(k) * (t - prev))
+        prev = t
+    return knots
+
+
+def _prefix_clock(scale, times, x):
+    """Reference: the clock at x, with the knots of the arrival prefix rebuilt."""
+    count = bisect_right(times, x)
+    prev = times[count - 1] if count else 0.0
+    return _prefix_knots(scale, times[:count])[-1] + scale.gamma(count) * (x - prev)
+
+
+class TestOneKnotTable:
+    """Readings off one knot table per history are bit-identical to rebuilding
+    the prefix knots at every reading."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizon=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(1e-9, 1.0), max_size=50, unique=True),
+        gammas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=60),
+        queries=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        change=st.one_of(st.just(math.inf), st.floats(0.0, 2.0)),
+    )
+    def test_matches_prefix_rebuild(self, horizon, fractions, gammas, queries, change):
+        h = History(horizon, tuple(sorted({horizon * f for f in fractions})))
+        times = h.arrivals
+        scale = TimeScale(tuple(gammas))
+        path = PathSample(horizon * change, times, seed=1)
+        for t in (*times, *(horizon * q for q in queries)):
+            assert time_map(scale, h, t) == _prefix_clock(scale, times, t)
+            assert path_clock(scale, path, t) == _prefix_clock(scale, times, t)
+        top = _prefix_clock(scale, times, horizon)
+        knots = _prefix_knots(scale, times)
+        for s in (*knots, *(top * q for q in queries)):
+            idx = bisect_right(knots, s) - 1
+            base_t = 0.0 if idx == 0 else times[idx - 1]
+            assert inverse_time_map(scale, h, s) == base_t + (s - knots[idx]) / scale.gamma(idx)
+        mapped = transform_path(scale, path)
+        expected_change = _prefix_clock(scale, times, path.change_time) if change != math.inf else math.inf
+        assert mapped == PathSample(expected_change, tuple(knots[1:]), seed=1)
 
 
 class TestTransformRates:

@@ -257,3 +257,9 @@ class TestCataniaBridge:
     def test_requires_strict_dominance(self):
         with pytest.raises(PreconditionError):
             catania_bridge_check(RateSchedule((1.0, 2.0), (2.0, 2.0)), [8])
+
+    @pytest.mark.parametrize("m_list, bad", [([0, 4], 0), ([4, -2], -2)])
+    def test_factor_below_one_refused_before_any_row(self, m_list, bad):
+        rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
+        with pytest.raises(PreconditionError, match=f"^grid factor must be >= 1, got {bad}$"):
+            catania_bridge_check(rates, m_list)
