@@ -36,12 +36,9 @@ from . import discrete as disc
 from . import timescale as ts
 from . import verify
 from .core import (
-    CapacityError,
     ChangePointLaw,
-    DegenerateModelError,
     DiscreteHistory,
     History,
-    IncomparableHistoriesError,
     InvalidScheduleError,
     LAWS,
     PosteriorResult,
@@ -358,8 +355,7 @@ def _as_discrete(config: ModelConfig, what: str, m: int | None):
         raise PreconditionError(f"{what} needs a [history] section")
     if config.kind == "discrete":
         return config.discrete_model(), config.history
-    snapped = cont.snap_history(config.history, m)
-    return cont.discretize(config.continuous_model(), m, slots=snapped.horizon_slot), snapped
+    return cont.discretize(config.continuous_model(), config.history, m)
 
 
 def cmd_posterior(config: ModelConfig, args) -> Table:
@@ -679,10 +675,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (PreconditionError, InvalidScheduleError, CapacityError,
-            DegenerateModelError, IncomparableHistoriesError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except SearchFailureError as exc:
         print(f"suite failure: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILURE

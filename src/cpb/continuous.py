@@ -28,11 +28,19 @@ A posterior costs O(k) in the arrival count k, and the same pass yields
 the posterior and intensity at every arrival instant (``intensity_path``).
 The direct likelihood ``log_likelihood_given_changepoint`` is O(k^2) per
 switch time and is kept as a test oracle only.
+
+``discretize(model, h, m)`` is the one step onto the slot grid of width
+1/m, which the discrete engine runs on: it checks the grid factor,
+floor-snaps the history, divides the rates by m and tabulates the switch
+law's cell hazards up to the snapped horizon, and returns the discrete
+model and history.  ``convergence_study`` and the CLI's grid commands go
+through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +72,6 @@ __all__ = [
     "intensity_path",
     "sample_path",
     "discretize",
-    "snap_history",
     "convergence_study",
 ]
 
@@ -288,15 +295,34 @@ def sample_path(
     return PathSample(change_time=u, arrival_times=tuple(times), seed=seed_val)
 
 
-def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> DiscreteModel:
-    """Slot-grid approximation with slot width 1/m.
+def _grid_factor(m) -> int:
+    """A grid factor as an int: an integer (numpy's too, but no float) >= 1."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise PreconditionError(f"grid factor must be an integer, got {m!r}") from None
+    if m < 1:
+        raise PreconditionError(f"grid factor must be >= 1, got {m}")
+    return m
+
+
+def discretize(
+    model: ContinuousModel, h: History, m: int
+) -> tuple[DiscreteModel, DiscreteHistory]:
+    """The model and history on the slot grid of width 1/m.
+
+    The history is floor-snapped: arrival instants map to slot floor(t*m)
+    and the horizon likewise, so no arrival slot passes the horizon slot.
+    At coarse resolutions arrivals can collide, or an arrival or the
+    horizon land on slot zero, which makes the snapped history unusable;
+    that raises rather than perturbing the data.
 
     Rates divide by m and must all drop below 1.  The slot-hazard of the
     switch law is the conditional probability of switching within each
-    width-1/m cell; for an exponential law one value repeats exactly, for
-    other laws the first ``slots`` cells are tabulated and the caller must
-    say how many it needs.  Each cell must get a probability strictly
-    between 0 and 1, or the law is not representable on the grid.
+    width-1/m cell; for an exponential law one value repeats exactly,
+    other laws are tabulated up to the snapped horizon.  Each cell must
+    get a probability strictly between 0 and 1, or the law is not
+    representable on the grid.
 
     The cells are tabulated in blocks of 64, 128, 256, ... cells, with one
     ``law.cell_hazards`` call per block (numpy on the log survival for a
@@ -304,8 +330,16 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
     refused cell raises at once, so a grid of 1e9 cells whose law is
     refused early costs no more than its first few blocks.
     """
-    if m < 1:
-        raise PreconditionError(f"grid factor must be >= 1, got {m}")
+    m = _grid_factor(m)
+    n = math.floor(h.horizon * m)
+    arrival_slots = [math.floor(t * m) for t in h.arrivals]
+    if any(s < 1 for s in arrival_slots):
+        raise PreconditionError(f"grid factor {m} snaps an arrival to slot 0")
+    if any(b <= a for a, b in zip(arrival_slots, arrival_slots[1:])):
+        raise PreconditionError(f"grid factor {m} collapses two arrivals onto one slot")
+    if n < 1:
+        raise PreconditionError(f"grid factor {m} snaps the horizon to slot 0")
+    snapped = DiscreteHistory(horizon_slot=n, arrival_slots=tuple(arrival_slots))
     if model.rates.max_rate() / m >= 1.0:
         raise PreconditionError(
             f"grid factor {m} too small: per-slot probability would reach "
@@ -317,14 +351,10 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
         cell = -math.expm1(-law.rate / m)
         disc_law = ChangePointLaw.discrete_hazard((cell,), tail=cell)
     else:
-        if slots is None:
-            raise PreconditionError(
-                "a non-exponential law needs an explicit slot count to tabulate"
-            )
         blocks = []
         lo, size = 0, 64
-        while lo < slots:
-            hi = min(slots, lo + size)
+        while lo < n:
+            hi = min(n, lo + size)
             # edges j / m for j = lo..hi: the floats that Python's j / m gives
             haz = law.cell_hazards(np.arange(lo, hi + 1) / m)
             refused = np.flatnonzero(~((haz > 0.0) & (haz < 1.0)))
@@ -338,27 +368,7 @@ def discretize(model: ContinuousModel, m: int, slots: int | None = None) -> Disc
             lo, size = hi, 2 * size
         vals = np.concatenate(blocks)
         disc_law = ChangePointLaw.discrete_hazard(vals, tail=vals[-1])
-    return DiscreteModel(rates=model.rates.scaled(1.0 / m), law=disc_law)
-
-
-def snap_history(h: History, m: int) -> DiscreteHistory:
-    """Floor-snap a continuous history onto the width-1/m slot grid.
-
-    Arrival instants map to slot floor(t*m) and the horizon likewise, so no
-    arrival slot passes the horizon slot.  At coarse resolutions arrivals
-    can collide, or an arrival or the horizon land on slot zero, which
-    makes the snapped history unusable; that raises rather than perturbing
-    the data.
-    """
-    n = math.floor(h.horizon * m)
-    slots = [math.floor(t * m) for t in h.arrivals]
-    if any(s < 1 for s in slots):
-        raise PreconditionError(f"grid factor {m} snaps an arrival to slot 0")
-    if any(b <= a for a, b in zip(slots, slots[1:])):
-        raise PreconditionError(f"grid factor {m} collapses two arrivals onto one slot")
-    if n < 1:
-        raise PreconditionError(f"grid factor {m} snaps the horizon to slot 0")
-    return DiscreteHistory(horizon_slot=n, arrival_slots=tuple(slots))
+    return DiscreteModel(rates=model.rates.scaled(1.0 / m), law=disc_law), snapped
 
 
 def convergence_study(
@@ -370,20 +380,15 @@ def convergence_study(
     discrete posterior survival, and records the absolute gap to the
     continuous value, which every row carries; resolutions whose snapping
     degenerates are reported as inadmissible instead of being silently
-    adjusted.  A factor below 1 is no resolution at all and raises
-    PreconditionError before any row.
+    adjusted.  A factor that is not an integer >= 1 is no resolution at
+    all and raises PreconditionError before any row.
     """
-    m_list = [int(m) for m in m_list]
-    for m in m_list:
-        if m < 1:
-            raise PreconditionError(f"grid factor must be >= 1, got {m}")
+    m_list = [_grid_factor(m) for m in m_list]
     reference = posterior_survival(model, h)
     rows: list[ConvergenceRow] = []
     for m in m_list:
         try:
-            snapped = snap_history(h, m)
-            disc = discretize(model, m, slots=snapped.horizon_slot)
-            value = _discrete.posterior_survival(disc, snapped)
+            value = _discrete.posterior_survival(*discretize(model, h, m))
         except PreconditionError:
             value = None
         rows.append(ConvergenceRow(

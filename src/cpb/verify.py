@@ -416,12 +416,10 @@ def catania_bridge_check(rates: RateSchedule, m_list) -> CataniaBridgeReport:
     increasing gaps it must hold for every sufficiently large factor.  A
     row is flagged borderline when the worst margin is within one squared
     cell probability of zero, which is where schedules with tied gaps sit.
-    A factor below 1 raises PreconditionError before any row.
+    A factor that is not an integer >= 1 raises PreconditionError before
+    any row.
     """
-    m_list = [int(m) for m in m_list]
-    for m in m_list:
-        if m < 1:
-            raise PreconditionError(f"grid factor must be >= 1, got {m}")
+    m_list = [cont._grid_factor(m) for m in m_list]
     base = validate_rates(rates)
     if not base.assu_strict:
         raise PreconditionError("bridge check needs strictly dominating post-change rates")

@@ -111,6 +111,12 @@ CASES = [
     # none asked for, or one slot, where no arrival can shift
     "verify identities-no-instances.cfg --suite identities",
     "verify one-slot.cfg --suite identities",
+    # exit 3 for each documented exception the commands above do not reach:
+    # a history the model gives zero probability, an oracle past its slot
+    # limit, and a slot model whose rates are no probabilities
+    "posterior zero-tail-overrun.cfg",
+    "posterior hazard.cfg --engine oracle",
+    "posterior post-above-one.cfg --engine discrete",
 ]
 
 

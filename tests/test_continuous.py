@@ -32,7 +32,6 @@ from cpb.continuous import (
     log_likelihood_given_changepoint,
     posterior_survival,
     sample_path,
-    snap_history,
 )
 from cpb.cli import load_config
 from cpb.discrete import posterior_survival as discrete_posterior
@@ -43,6 +42,11 @@ GOLDEN_CFG = Path(__file__).resolve().parent / "golden" / "cfg"
 def closed_form_model():
     # unit-rate switch law, rate 1 before and 2 after, any count
     return ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.exponential(1.0))
+
+
+def grid_history(slots, m):
+    """A history without arrivals whose horizon snaps to the given slot count."""
+    return History((slots + 0.5) / m)
 
 
 def reference_likelihood(model, h, u, extra_cuts=()):
@@ -460,25 +464,38 @@ class TestSamplePath:
 
 class TestDiscretize:
     def test_rates_divide(self):
-        disc = discretize(closed_form_model(), 10)
+        disc, _ = discretize(closed_form_model(), History(1.0), 10)
         assert disc.rates.pre(0) == pytest.approx(0.1)
         assert disc.rates.post(0) == pytest.approx(0.2)
 
     def test_exponential_cell_probability(self):
-        disc = discretize(closed_form_model(), 16)
+        disc, _ = discretize(closed_form_model(), History(1.0), 16)
         expected = -math.expm1(-1.0 / 16)
         for j in (1, 2, 50):
             assert disc.law.hazard(j) == pytest.approx(expected, rel=1e-14)
 
     def test_too_small_grid_rejected(self):
-        with pytest.raises(PreconditionError):
-            discretize(closed_form_model(), 2)
+        with pytest.raises(PreconditionError, match="too small"):
+            discretize(closed_form_model(), History(1.0), 2)
 
-    def test_non_memoryless_needs_slots(self):
+    # a float is refused even when whole, as a slot count is
+    @pytest.mark.parametrize("m", [2.5, 16.0])
+    def test_float_grid_factor_refused(self, m):
+        with pytest.raises(PreconditionError, match=f"^grid factor must be an integer, got {m}$"):
+            discretize(closed_form_model(), History(1.0, (0.5,)), m)
+
+    def test_numpy_integer_grid_factor_accepted(self):
         model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.weibull(1.3, 1.0))
-        with pytest.raises(PreconditionError):
-            discretize(model, 16)
-        disc = discretize(model, 16, slots=32)
+        h = History(1.0, (0.5,))
+        disc, snapped = discretize(model, h, np.int64(16))
+        ref, ref_snapped = discretize(model, h, 16)
+        assert snapped == ref_snapped
+        assert disc.rates == ref.rates and disc.law.values == ref.law.values
+
+    def test_non_memoryless_cells_tabulated_to_the_horizon(self):
+        model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.weibull(1.3, 1.0))
+        disc, snapped = discretize(model, grid_history(32, 16), 16)
+        assert snapped.horizon_slot == len(disc.law.values) == 32
         # tabulated cells must match the conditional mass of each cell
         law = model.law
         for j in (1, 7, 32):
@@ -488,13 +505,13 @@ class TestDiscretize:
     def test_point_mass_not_representable(self):
         model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.point_mass(0.5))
         with pytest.raises(PreconditionError):
-            discretize(model, 16, slots=16)
+            discretize(model, grid_history(16, 16), 16)
 
     def test_weibull_tail_cells_representable(self):
         # sf as 1 - cdf read 0.0 from u = 6.25 on, which refused cell 25
         # (u in (6, 6.25]) with switch probability 1.0
         model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.weibull(2.0, 1.0))
-        disc = discretize(model, 4, slots=40)
+        disc, _ = discretize(model, grid_history(40, 4), 4)
         assert disc.law.hazard(25) == pytest.approx(-math.expm1(-3.0625), rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -503,7 +520,7 @@ class TestDiscretize:
         # inf - inf is nan from cell 4 on, both in the same block
         model = ContinuousModel(RateSchedule((0.1,), (0.2,)), ChangePointLaw.weibull(1000.0, 1.0))
         with pytest.raises(PreconditionError, match="^cell 2 has switch probability 1.0;"):
-            discretize(model, 1, slots=10)
+            discretize(model, grid_history(10, 1), 1)
 
     # each refused at its first bad cell, before any later block is tabulated
     @pytest.mark.parametrize("cfg, m, message", [
@@ -521,7 +538,7 @@ class TestDiscretize:
         tracemalloc.start()
         try:
             with pytest.raises(PreconditionError) as err:
-                discretize(model, m, slots=10**9)
+                discretize(model, grid_history(10**9, m), m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -561,10 +578,11 @@ def test_mapped_cell_hazards_keep_the_loop_bits(law, m, slots):
     cells, refusal = per_cell_hazards(law, m, slots)
     model = ContinuousModel(RateSchedule((0.1,), (0.2,)), law)
     if refusal is None:
-        assert discretize(model, m, slots=slots).law.values == tuple(h for h, _ in cells)
+        disc, _ = discretize(model, grid_history(slots, m), m)
+        assert disc.law.values == tuple(h for h, _ in cells)
     else:
         with pytest.raises(PreconditionError) as err:
-            discretize(model, m, slots=slots)
+            discretize(model, grid_history(slots, m), m)
         assert str(err.value).startswith(f"cell {refusal[0]} has switch probability {refusal[1]};")
 
 
@@ -585,22 +603,28 @@ def test_weibull_cell_hazards_match_the_loop(shape, scale, m, slots):
 
 
 class TestSnapHistory:
+    # rates below 1 and a memoryless law fit every grid, so only the snapping can refuse
+    model = ContinuousModel(RateSchedule((0.1,), (0.2,)), ChangePointLaw.exponential(1.0))
+
+    def snap(self, h, m):
+        return discretize(self.model, h, m)[1]
+
     def test_floor_semantics(self):
-        snapped = snap_history(History(1.0, (0.26, 0.51)), 4)
+        snapped = self.snap(History(1.0, (0.26, 0.51)), 4)
         assert snapped.horizon_slot == 4
         assert snapped.arrival_slots == (1, 2)
 
     def test_collision_rejected(self):
-        with pytest.raises(PreconditionError):
-            snap_history(History(1.0, (0.26, 0.27)), 4)
+        with pytest.raises(PreconditionError, match="collapses two arrivals onto one slot"):
+            self.snap(History(1.0, (0.26, 0.27)), 4)
 
     def test_slot_zero_rejected(self):
-        with pytest.raises(PreconditionError):
-            snap_history(History(1.0, (0.1,)), 4)
+        with pytest.raises(PreconditionError, match="snaps an arrival to slot 0"):
+            self.snap(History(1.0, (0.1,)), 4)
 
     def test_horizon_slot_zero_rejected(self):
         with pytest.raises(PreconditionError, match="snaps the horizon to slot 0"):
-            snap_history(History(0.5), 1)
+            self.snap(History(0.5), 1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -612,7 +636,7 @@ class TestSnapHistory:
         # fraction 1 puts an arrival exactly at the horizon
         h = History(horizon, tuple(sorted({horizon * f for f in (*fractions, 1.0)})))
         try:
-            snapped = snap_history(h, m)
+            snapped = self.snap(h, m)
         except PreconditionError:
             return
         assert snapped.arrival_slots[-1] <= snapped.horizon_slot
@@ -647,11 +671,22 @@ class TestConvergence:
         with pytest.raises(PreconditionError, match=f"got {m}"):
             convergence_study(closed_form_model(), History(1.0, (0.5,)), [64, m])
 
+    @pytest.mark.parametrize("m", [2.5, 16.0])
+    def test_float_factor_is_rejected(self, m):
+        # 2.5 is not truncated to a grid of 2
+        with pytest.raises(PreconditionError, match=f"^grid factor must be an integer, got {m}$"):
+            convergence_study(closed_form_model(), History(1.0, (0.5,)), [64, m])
+
+    def test_numpy_integer_factor_accepted(self):
+        model, h = closed_form_model(), History(1.0, (0.5,))
+        rows = convergence_study(model, h, [np.int64(16)])
+        assert rows == convergence_study(model, h, [16])
+        assert type(rows[0].m) is int
+
     def test_snapped_discrete_matches_direct_evaluation(self):
         model = closed_form_model()
         h = History(1.0, (0.5,))
         m = 64
-        snapped = snap_history(h, m)
-        disc = discretize(model, m, slots=snapped.horizon_slot)
+        disc, snapped = discretize(model, h, m)
         row = [r for r in convergence_study(model, h, [m])][0]
         assert row.discrete_value == pytest.approx(discrete_posterior(disc, snapped), rel=1e-14)

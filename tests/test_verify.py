@@ -263,3 +263,16 @@ class TestCataniaBridge:
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
         with pytest.raises(PreconditionError, match=f"^grid factor must be >= 1, got {bad}$"):
             catania_bridge_check(rates, m_list)
+
+    @pytest.mark.parametrize("m", [2.5, 16.0])
+    def test_float_factor_refused_before_any_row(self, m):
+        # 2.5 is not truncated to a grid of 2
+        rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
+        with pytest.raises(PreconditionError, match=f"^grid factor must be an integer, got {m}$"):
+            catania_bridge_check(rates, [4, m])
+
+    def test_numpy_integer_factor_accepted(self):
+        rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
+        report = catania_bridge_check(rates, [np.int64(16)])
+        assert report == catania_bridge_check(rates, [16])
+        assert type(report.rows[0].m) is int
