@@ -173,15 +173,24 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
             values = np.fromstring(raw.replace(",", " "), dtype=np.int64, sep=" ")
             if values.max() < _INT64_MAX:
                 return values
+        tokens = _split_list(raw)
         try:
-            return tuple(map(int, _split_list(raw)))
+            return tuple(map(int, tokens))
         except ValueError:
             pass
-        # a whole number written as a float, such as 6.0 or 1e3
-        values = floats(raw, lineno, what)
-        if not all(v.is_integer() for v in values):
+        # a whole number written as a float, such as 6.0 or 1e3.  From 2^53
+        # on a float skips integers, so there a token that int() reads keeps
+        # its exact value
+        values = list(floats(raw, lineno, what))
+        for i, v in enumerate(values):
+            if not abs(v) < 2.0 ** 53:
+                try:
+                    values[i] = int(tokens[i])
+                except ValueError:
+                    pass
+        if not all(isinstance(v, int) or v.is_integer() for v in values):
             raise ConfigError(source, lineno, f"bad {what}: slots are whole numbers, got {raw!r}")
-        return tuple(int(v) for v in values)
+        return tuple(map(int, values))
 
     # rates
     pre_raw, pre_line = need("rates", "pre")
@@ -532,10 +541,12 @@ def _verify_timescale(config: ModelConfig, args) -> Table:
     # arrival-count closure along simulated paths
     mismatches = 0
     for pid in range(200):
-        path = cont.sample_path(model, horizon=horizon, seed=np.random.default_rng((config.seed, pid)))
+        path_rng = np.random.default_rng((config.seed, pid))
+        path = cont.sample_path(model, horizon=horizon, seed=path_rng)
         times, mapped = path.arrival_times, ts.transform_path(gammas, path).arrival_times
-        # at an arrival the clock reads its mapped instant, exactly as path_clock would
-        ends = (horizon * 0.5, horizon)
+        # at an arrival the clock reads its mapped instant, exactly as
+        # path_clock would; path_clock itself is read at a random instant
+        ends = (float(path_rng.uniform(0.0, horizon)), horizon)
         for t, g_t in zip((*times, *ends), (*mapped, *(ts.path_clock(gammas, path, x) for x in ends))):
             mismatches += bisect_right(times, t) != bisect_right(mapped, g_t * (1 + 1e-12))
     check("count_closure", mismatches, mismatches == 0)

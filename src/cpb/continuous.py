@@ -4,19 +4,20 @@ Given an observed history, the conditional likelihood of "the switch
 happened at u" factorises into the active rate at each arrival instant
 times the exponential of minus the integrated active rate over the window.
 Between consecutive arrival instants the log likelihood is affine in u, so
-the posterior reduces to per-stretch integrals against the switch law,
-which each law class gives as ``segment_integrals``: closed form for the
-exponential and table families, exact evaluation for point masses, and
-for the weibull density an adaptive Gauss-Kronrod (G10/K21) rule run on
-all the stretches of a history at once, in numpy, which bisects a panel
-while its error estimate exceeds 1e-11 of its stretch's running total (a
-bound per panel: a stretch's summed estimate stays below 1e-11 times its
-panel count, at most 200).  The weibull rule runs a stretch that starts
-at or near 0, the first one always, in x = (u / b)^(shape / j) with
-j = max(3, ceil(shape)), where the density's u^(shape - 1) factor turns
-into the smooth x^(j - 1); a later stretch (a, b] stays in u, because
-its left end (a / b)^(shape / j) would lose relative width when a is
-close to b on a long history.
+the posterior reduces to per-stretch integrals against the switch law.
+Each law class gives those of all the stretches of a history in one call,
+``segment_integrals`` (-inf for an empty stretch and for one without
+likelihood at its start): closed form for the exponential and table
+families, exact evaluation for point masses, and for the weibull density
+an adaptive Gauss-Kronrod (G10/K21) rule run on all the stretches at
+once, in numpy, which bisects a panel while its error estimate exceeds
+1e-11 of its stretch's running total (a bound per panel: a stretch's
+summed estimate stays below 1e-11 times its panel count, at most 200).
+The weibull rule runs a stretch that starts at or near 0, the first one
+always, in x = (u / b)^(shape / j) with j = max(3, ceil(shape)), where
+the density's u^(shape - 1) factor turns into the smooth x^(j - 1); a
+later stretch (a, b] stays in u, because its left end (a / b)^(shape / j)
+would lose relative width when a is close to b on a long history.
 
 The engine evaluates them in one forward pass over the arrivals, the
 continuous form of Shiryaev's Bayesian change-point filter.  The pass
@@ -158,13 +159,14 @@ def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, flo
 
     A stretch's integral does not depend on log_change, so a first loop
     collects the stretches, one ``segment_integrals`` call evaluates them
-    all, and a second loop adds them up.  Each step costs O(1)
-    (O(log knots) for a table law).
+    all, and a second loop adds them up; an empty stretch (an arrival on
+    the horizon) and one with no likelihood at its start add -inf, that
+    is nothing.  Each step costs O(1) (O(log knots) for a table law).
     """
     rates = model.rates
     pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
     pre_tail, post_tail = rates.pre(listed), rates.post(listed)
-    trail, stretches = [], []  # (instant, step, log_stay, gains mass); (a, b, la, lb, slope)
+    trail, stretches = [], []  # (instant, step, log_stay); (a, b, la, lb, slope)
     k = h.count
     log_stay = 0.0
     a = 0.0
@@ -174,23 +176,15 @@ def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, flo
         # the horizon closes the last stretch without an arrival
         log_pre, log_post = (_log(pre), _log(post)) if i < k else (0.0, 0.0)
         width = b - a
-        step, gains = 0.0, False
-        if width > 0.0:
-            step = log_post - post * width
-            la = log_stay + step
-            if la > -math.inf:
-                gains = True
-                stretches.append((a, b, la, log_stay + log_post - pre * width, post - pre))
+        step = log_post - post * width
+        stretches.append((a, b, log_stay + step, log_stay + log_post - pre * width, post - pre))
         log_stay += log_pre - pre * width
-        trail.append((b, step, log_stay, gains))
+        trail.append((b, step, log_stay))
         a = b
-    masses = iter(model.law.segment_integrals(*zip(*stretches)) if stretches else ())
     log_change = -math.inf
     path = []
-    for b, step, log_stay, gains in trail:
-        log_change += step
-        if gains:
-            log_change = _log_add(log_change, next(masses))
+    for (b, step, log_stay), mass in zip(trail, model.law.segment_integrals(*zip(*stretches))):
+        log_change = _log_add(log_change + step, mass)
         path.append((b, log_change, log_stay))
     return path
 

@@ -162,12 +162,12 @@ class ChangePointLaw:
     (``params()``, and the keys of a config file), and it validates them.
     The continuous families ``Exponential``, ``Weibull``, ``PointMass`` and
     ``Table`` give ``cdf``, ``sf``, ``log_sf``, ``ppf``, ``scaled_time`` and
-    ``segment_integral(a, b, la, lb, slope)``: the log of the integral of
+    ``segment_integrals(a, b, la, lb, slope)``: equal-length sequences, one
+    entry per stretch, and the list of the logs of the integrals of
     exp(la + slope (u - a)) against the law over the switch times u in
-    (a, b], with la and lb the integrand's log values at a and b.
-    ``segment_integrals`` takes equal-length sequences of the same five
-    arguments, one entry per stretch, and returns the list of their
-    integrals; by default it maps ``segment_integral``, and ``Weibull``
+    (a, b], with la and lb the integrand's log values at a and b.  An empty
+    stretch (a == b) and one with la = -inf give -inf.  By default it maps
+    a family's closed form ``_segment`` over the stretches, and ``Weibull``
     replaces it with an adaptive Gauss-Kronrod rule run on all the
     stretches at once.  ``cell_hazards(edges)`` gives the probability of
     switching within each cell between consecutive edges, given no switch
@@ -176,7 +176,8 @@ class ChangePointLaw:
     and ``sf``/``log_sf`` at an integer slot.  An operation of the other
     kind raises ValueError.
 
-    A new family is one subclass plus its entry in ``LAWS``.  The
+    A new family is one subclass plus its entry in ``LAWS``; a continuous
+    one writes ``_segment`` for one stretch or ``segment_integrals``.  The
     constructors ``ChangePointLaw.exponential``, ``.weibull``,
     ``.point_mass``, ``.table`` and ``.discrete_hazard`` are the classes.
     """
@@ -197,10 +198,10 @@ class ChangePointLaw:
     def _other_kind(self, *args):
         raise ValueError(f"operation does not apply to a {self.kind} law ({self.family})")
 
-    cdf = _ppf = _scaled_time = segment_integral = hazard = _other_kind
+    cdf = _ppf = _scaled_time = _segment = hazard = _other_kind
 
     def segment_integrals(self, a, b, la, lb, slope) -> list[float]:
-        return list(map(self.segment_integral, a, b, la, lb, slope))
+        return list(map(self._segment, a, b, la, lb, slope))
 
     def cell_hazards(self, edges) -> np.ndarray:
         # a cell past a survival of 0 has no conditional probability: nan
@@ -246,7 +247,7 @@ class Exponential(ChangePointLaw):
     def _scaled_time(self, factor: float) -> "Exponential":
         return Exponential(self.rate / factor)
 
-    def segment_integral(self, a, b, la, lb, slope):
+    def _segment(self, a, b, la, lb, slope):
         rho, log_rho = self.rate, math.log(self.rate)
         return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
 
@@ -284,14 +285,24 @@ class Weibull(ChangePointLaw):
         return Weibull(self.shape, self.scale * factor)
 
     def segment_integrals(self, a, b, la, lb, slope):
-        # adaptive Gauss-Kronrod panels on all the stretches at once, each
-        # panel's error estimate held to 1e-11 of its stretch's running
-        # total (_weibull_batch)
-        return _weibull_segment_integrals(self.shape, self.scale, a, b, la, slope).tolist()
-
-    def segment_integral(self, a, b, la, lb, slope):
-        # a batch of one: a stretch comes out bit for bit as it does among others
-        return self.segment_integrals((a,), (b,), (la,), (lb,), (slope,))[0]
+        # adaptive Gauss-Kronrod panels on all the stretches at once
+        # (_weibull_batch).  Past u_max = scale 2^(1000 / shape) the density
+        # is below exp(-2^1000) and vanishes against any mass before it,
+        # while (u / scale)^shape soon leaves the float range: a stretch ends
+        # there, and one that starts beyond it carries no mass.  The rows of
+        # k: a, b, la, slope, then the constants of _weibull_log_integrand
+        k = np.empty((9, len(a)))
+        k[:4] = a, b, la, slope
+        log_scale = math.log(self.scale)
+        if len(a) and self.shape * (math.log(max(b)) - log_scale) > _LOG_POWER_MAX:
+            u_max = math.exp(log_scale + _LOG_POWER_MAX / self.shape)
+            k[1] = np.where(self.shape * (np.log(k[1]) - log_scale) > _LOG_POWER_MAX, u_max, k[1])
+        # the batch takes no stretch that is empty (as past u_max) or has no
+        # likelihood at its start
+        live = (k[0] < k[1]) & (k[2] > -math.inf)
+        out = np.full(len(a), -math.inf)
+        out[live] = _weibull_batch(self.shape, self.scale, k[:, live])
+        return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -310,12 +321,12 @@ class PointMass(ChangePointLaw):
     def _scaled_time(self, factor: float) -> "PointMass":
         return PointMass(self.location * factor)
 
-    def segment_integral(self, a, b, la, lb, slope):
+    def _segment(self, a, b, la, lb, slope):
         """Exact: a switch at b counts, one at a does not."""
         u0 = self.location
-        if u0 == b:
-            return lb
-        return la + slope * (u0 - a) if a < u0 < b else -math.inf
+        if not (a < u0 <= b and la > -math.inf):
+            return -math.inf
+        return lb if u0 == b else la + slope * (u0 - a)
 
 
 @dataclass(frozen=True)
@@ -376,7 +387,7 @@ class Table(ChangePointLaw):
     def _scaled_time(self, factor: float) -> "Table":
         return Table(tuple((s * factor, g) for s, g in self.knots))
 
-    def segment_integral(self, a, b, la, lb, slope):
+    def _segment(self, a, b, la, lb, slope):
         # closed form on each knot interval that (a, b) meets
         knots = self.knots
         total = -math.inf
@@ -540,38 +551,12 @@ _LOG_POWER_MAX = 1000.0 * math.log(2.0)
 _MAPPED_BELOW = 0.25
 
 
-def _weibull_segment_integrals(shape: float, scale: float, a, b, la, slope) -> np.ndarray:
-    """log of the integral of exp(la + slope (u - a)) against the weibull law
-    over each stretch (a, b], a stretch per entry of the four sequences.
+def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
+    """The weibull segment integrals of the stretches a < b in the columns
+    of k (rows a, b, la, slope).
 
-    Past u_max = scale 2^(1000 / shape) the density is below exp(-2^1000)
-    and vanishes against any mass before it, while (u / scale)^shape soon
-    leaves the float range: a stretch ends there, and one that starts
-    beyond it carries no mass.  ``_weibull_batch`` integrates the rest.
-    """
-    # the rows of k: a, b, la, slope, then the constants of _weibull_log_integrand
-    k = np.empty((9, len(a)))
-    k[:4] = a, b, la, slope
-    log_scale = math.log(scale)
-    cut = len(a) > 0 and shape * (math.log(max(b)) - log_scale) > _LOG_POWER_MAX
-    if cut:
-        u_max = math.exp(log_scale + _LOG_POWER_MAX / shape)
-        k[1] = np.where(shape * (np.log(k[1]) - log_scale) > _LOG_POWER_MAX, u_max, k[1])
-    # the batch takes the stretches it maps ahead of the others, and none
-    # that start past u_max or with no likelihood at their start
-    mapped = k[0] < _MAPPED_BELOW * k[1]
-    order = np.argsort(~mapped, kind="stable")
-    order = order[((k[0] < k[1]) & (k[2] > -math.inf))[order]]
-    out = np.full(len(a), -math.inf)
-    out[order] = _weibull_batch(shape, scale, k[:, order], int(np.count_nonzero(mapped[order])))
-    return out
-
-
-def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> np.ndarray:
-    """The weibull segment integrals of the stretches in the columns of k
-    (rows a, b, la, slope), the n_mapped stretches with a < b / 4 first.
-
-    Those run in x = (u / b)^(shape / j) with j = max(3, ceil(shape)), where
+    The stretches with a < b / 4 ("mapped") run in x = (u / b)^(shape / j)
+    with j = max(3, ceil(shape)), where
     f(u) du = j s_b x^(j - 1) exp(-s_b x^j) dx with s_b = (b / scale)^shape:
     the density's u^(shape - 1) factor, whose derivatives blow up at 0,
     turns into the smooth x^(j - 1).  This takes the first stretch, which
@@ -598,24 +583,24 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> 
     n = k.shape[1]
     log_scale = math.log(scale)
     j = max(3, math.ceil(shape))
-    ends, columns = [], []  # (a, b, slope) and the constants of the mapped stretches
-    for i in range(n_mapped):
+    mapped = k[0] < _MAPPED_BELOW * k[1]
+    ends, columns = k[[0, 1, 3]], []  # (a, b, slope) of each stretch; the mapped ones' constants
+    for i in np.flatnonzero(mapped).tolist():
         a, b, la, slope = k[:4, i].tolist()
         log_b = math.log(b) - log_scale
-        ends.append((a, b, slope))
         # slope (u - a) = slope b x^(j / shape) - slope a, and x runs from (a / b)^(shape / j) to 1
-        columns.append(((a / b) ** (shape / j), 1.0, la - slope * a + math.log(j) + shape * log_b,
-                        slope * b, j - 1.0, 1.0, math.exp(shape * log_b), j, j / shape))
+        columns.append((i, ((a / b) ** (shape / j), 1.0, la - slope * a + math.log(j) + shape * log_b,
+                            slope * b, j - 1.0, 1.0, math.exp(shape * log_b), j, j / shape)))
     k[2] += math.log(shape / scale)
     k[4:].T[:] = shape - 1.0, 1.0 / scale, 1.0, shape, 1.0
-    for i, column in enumerate(columns):
+    for i, column in columns:
         k[:, i] = column
     # rows 0 and 1 of k now hold the ends of each stretch's panel
     lo, width = k[0], k[1] - k[0]
 
     # the first round: one panel per stretch, in order
     offset = _GK_NODES * width
-    values = _weibull_log_integrand(offset + lo, offset, n_mapped, k)
+    values = _weibull_log_integrand(offset + lo, offset, mapped, k)
     kronrod, diff, top = _gk_sums(values)
     log_panel = np.log(kronrod * width)
     log_panel += top
@@ -627,36 +612,36 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray, n_mapped: int) -> 
     # has any, and is bisected otherwise.  The running totals are kept over
     # exp(ref), the first estimates.
     ref, converged, leaves = log_panel, (~fail).astype(float), np.ones(n, dtype=np.intp)
-    restart = [], []  # (stretch, edges) of the mapped stretches that start over, and of the others
+    restart = []  # (stretch, left end, right end) of the panels of the stretches that start over
     for i in np.flatnonzero(fail).tolist():
-        a, b, slope = ends[i] if i < n_mapped else k[[0, 1, 3], i].tolist()
+        a, b, slope = ends[:, i].tolist()
         points = _weibull_breaks(shape, scale, a, b, slope)
-        if i < n_mapped and points:
+        if mapped[i] and points:
             # the break points carry over at their mapped places
             points = sorted({x for x in ((p / b) ** (shape / j) for p in points) if lo[i] < x < 1.0})
         if points != []:
             fail[i] = False
             leaves[i] = 0 if points is None else len(points) + 1
             if points is not None:
-                restart[i >= n_mapped].append((i, [lo[i], *points, k[1, i]]))
+                edges = [lo[i], *points, k[1, i]]
+                restart += [(i, p, q) for p, q in zip(edges, edges[1:])]
     row = np.arange(n)
     while True:
         width = np.repeat(0.5 * width[fail], 2)
         lo = np.repeat(lo[fail], 2)
         lo[1::2] += width[1::2]
         row = np.repeat(row[fail], 2)
-        if any(restart):
-            # the mapped stretches' panels lead
-            row, lo, width = (np.concatenate(parts) for parts in zip(
-                _ladder_panels(restart[0]), (row, lo, width), _ladder_panels(restart[1])))
-            restart = [], []
+        if restart:
+            stretch, left, right = np.array(restart).T
+            row = np.concatenate((row, stretch.astype(np.intp)))
+            lo, width = np.concatenate((lo, left)), np.concatenate((width, right - left))
+            restart = []
         if not len(row):
             break
         panel_k = k[:, row]
         offset = _GK_NODES * width
         offset += lo - panel_k[0]
-        values = _weibull_log_integrand(offset + panel_k[0], offset, int(np.count_nonzero(row < n_mapped)),
-                                        panel_k)
+        values = _weibull_log_integrand(offset + panel_k[0], offset, mapped[row], panel_k)
         kronrod, diff, top = _gk_sums(values)
         log_panel = np.log(kronrod * width)
         log_panel += top
@@ -704,18 +689,6 @@ def _gk_sums(values):
     return kronrod, diff, top
 
 
-def _ladder_panels(ladders):
-    """(stretch, left end, width) arrays of the panels between the
-    consecutive edges of each (stretch, edges) pair in ``ladders``."""
-    rows, lo, hi = [], [], []
-    for i, edges in ladders:
-        rows += [i] * (len(edges) - 1)
-        lo += edges[:-1]
-        hi += edges[1:]
-    lo = np.array(lo)
-    return np.array(rows, dtype=np.intp), lo, np.array(hi) - lo
-
-
 def _gk_error(values, kronrod, diff):
     """QUADPACK's qk21 error estimate, spread * min(1, (200 |K - G| / spread)^1.5),
     of panels from their node values (columns, over the largest), Kronrod
@@ -743,15 +716,16 @@ def _column_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return np.power(base, spread, out=spread)
 
 
-def _weibull_log_integrand(x, offset, n_mapped: int, k):
+def _weibull_log_integrand(x, offset, mapped, k):
     """The log integrand A + B (x - D) + C log(x E) - F (x E)^Q at the nodes x
     of a round, one panel per column, with B x^M in place of B (x - D) in the
-    first n_mapped panels.  offset holds x - D, and becomes the result; rows
-    2 to 8 of k are A, B, C, E, F, Q and M of each panel."""
+    panels the boolean mask ``mapped`` marks.  offset holds x - D, and
+    becomes the result; rows 2 to 8 of k are A, B, C, E, F, Q and M of each
+    panel."""
     _, _, a, b, c, e, f, q, m = k
     t = offset
-    if n_mapped:
-        t[:, :n_mapped] = _column_power(np.ascontiguousarray(x[:, :n_mapped]), m[:n_mapped])
+    if np.count_nonzero(mapped):
+        t[:, mapped] = _column_power(np.ascontiguousarray(x[:, mapped]), m[mapped])
     t *= b
     t += a
     z = x * e

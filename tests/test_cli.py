@@ -102,6 +102,8 @@ class TestConfigParsing:
         ("1e1", "2,\t4 ,6.0  7", DiscreteHistory(10, (2, 4, 6, 7))),
         ("6", "1,2\t3,,4", DiscreteHistory(6, (1, 2, 3, 4))),
         ("6", "", DiscreteHistory(6, ())),
+        # a token that int() reads keeps its exact value beside a float one
+        ("9007199254740993", "2.0, 9007199254740993", DiscreteHistory(2**53 + 1, (2, 2**53 + 1))),
     ])
     def test_slot_list_spellings(self, horizon, arrivals, expected):
         text = (DISCRETE.replace("horizon = 6", f"horizon = {horizon}")
@@ -142,20 +144,21 @@ def test_slot_error_exit_line_and_message(name, tmp_path, capsys):
     assert err == f"config error: {path}:{line}: {message}\n"
 
 
-# The slot reader against an oracle: a copy of the reader that went before
-# the numpy pass, which splits the list and reads each token with int(),
-# then float(), by itself.
+# The slot reader against an oracle: a reader without the numpy pass, which
+# splits the list and reads each token with int(), or else float(), by itself.
 def oracle_slots(raw, source, lineno, what):
-    tokens = raw.replace(",", " ").split()
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        pass
-    try:
-        values = tuple(map(float, tokens))
-    except ValueError as exc:
-        raise cli.ConfigError(source, lineno, f"bad {what}: {exc}") from None
-    if not all(v.is_integer() for v in values):
+    values = []
+    for token in raw.replace(",", " ").split():
+        try:
+            values.append(int(token))
+            continue
+        except ValueError:
+            pass
+        try:
+            values.append(float(token))
+        except ValueError as exc:
+            raise cli.ConfigError(source, lineno, f"bad {what}: {exc}") from None
+    if not all(isinstance(v, int) or v.is_integer() for v in values):
         raise cli.ConfigError(source, lineno, f"bad {what}: slots are whole numbers, got {raw!r}")
     return tuple(int(v) for v in values)
 
@@ -628,6 +631,20 @@ class TestVerifySuites:
         assert len(sampled) == 200 and sum(sampled) > 200 * 100
         assert len(steps) <= 3 * len(sampled)
         assert sum(steps) <= 3 * sum(sampled)
+
+    def test_timescale_suite_catches_a_clock_right_only_at_mid_and_end(self, monkeypatch, capsys):
+        # a clock that is exact at h / 2 and h but stuck at its h / 2 reading
+        # in between passed a suite that read path_clock only there
+        clock, horizon = ts.path_clock, 2.0
+
+        def stuck_clock(scale, path, t):
+            return clock(scale, path, t if t >= horizon else 0.5 * horizon)
+
+        monkeypatch.setattr(ts, "path_clock", stuck_clock)
+        code, out, _ = run_cli(capsys, "verify", str(CFG / "readme.cfg"), "--suite", "timescale")
+        row = next(r for r in rows_of(out) if r["check"] == "count_closure")
+        assert code == 1
+        assert row["status"] == "fail" and int(row["value"]) > 0
 
 
 class TestTransform:

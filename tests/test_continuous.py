@@ -363,6 +363,49 @@ def test_weibull_posterior_matches_segmentwise_oracle(case):
     assert res.prob_after == pytest.approx(1.0 - expected, rel=1e-9)
 
 
+@st.composite
+def extreme_cases(draw):
+    """Every continuous family at extremes: rates 10^U(-8, 8), horizons
+    10^U(-3, 3), up to 300 arrivals (the last one on the horizon at times),
+    weibull shapes 0.1 to 50, tables with a flat stretch and point masses
+    anywhere in [1e-9, 2] horizons."""
+    horizon = 10.0 ** draw(st.floats(-3.0, 3.0))
+    size = draw(st.integers(1, 3))
+    rate = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+    pre, post = (tuple(draw(st.lists(rate, min_size=size, max_size=size))) for _ in range(2))
+    family = draw(st.sampled_from(["exponential", "weibull", "point-mass", "table"]))
+    if family == "exponential":
+        law = ChangePointLaw.exponential(10.0 ** draw(st.floats(-3.0, 3.0)) / horizon)
+    elif family == "weibull":
+        law = ChangePointLaw.weibull(draw(st.floats(0.1, 50.0)), horizon * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    elif family == "point-mass":
+        law = ChangePointLaw.point_mass(horizon * draw(st.floats(1e-9, 2.0)))
+    else:
+        s1, s2, s3 = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))) * horizon
+        law = ChangePointLaw.table([(s1, 0.4), (s2, 0.4), (s3, 1.0)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrivals = sorted({t for t in rng.uniform(0.0, horizon, draw(st.integers(0, 300))).tolist() if t > 0.0})
+    if arrivals and draw(st.booleans()):
+        arrivals[-1] = horizon
+    return ContinuousModel(RateSchedule(pre, post), law), History(horizon, tuple(arrivals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_cases())
+@pytest.mark.filterwarnings("error")
+def test_intensity_path_at_extremes(case):
+    # no warning, a finite path with probabilities in [0, 1], and the
+    # intensity between the two rates at k, up to the rounding of the mixture
+    model, h = case
+    path = intensity_path(model, h)
+    for res in path:
+        assert all(map(math.isfinite, (res.prob_before, res.prob_after, res.intensity)))
+        assert 0.0 <= res.prob_before <= 1.0
+    assert path[-1] == intensity(model, h)
+    pre, post = model.rates.pre(h.count), model.rates.post(h.count)
+    assert min(pre, post) * (1 - 1e-15) <= path[-1].intensity <= max(pre, post) * (1 + 1e-15)
+
+
 def test_gauss_kronrod_constants_integrate_monomials():
     # on [0, 1] the 21-point Kronrod rule is exact to degree 31 and its
     # 10-point Gauss rule to degree 19, so a wrong digit in a node or weight shows

@@ -22,6 +22,11 @@ from cpb.core import (
 )
 
 
+def segment(law, a, b, la, lb, slope):
+    """The segment integral of one stretch, as a batch of one."""
+    return law.segment_integrals((a,), (b,), (la,), (lb,), (slope,))[0]
+
+
 # -- schedules -------------------------------------------------------------
 
 
@@ -87,20 +92,20 @@ class TestChangePointLaw:
         # and one starting beyond it carries none
         w = ChangePointLaw.weibull(50.0, 1.0)
         for a in (0.0, 0.5):
-            far = w.segment_integral(a, 2e6, -3.0, None, -1.0)
-            near = w.segment_integral(a, 3.0, -3.0, None, -1.0)
+            far = segment(w, a, 2e6, -3.0, None, -1.0)
+            near = segment(w, a, 3.0, -3.0, None, -1.0)
             assert far == pytest.approx(near, rel=1e-12, abs=1e-12)
-        assert w.segment_integral(1e6, 2e6, -3.0, None, -1.0) == -math.inf
+        assert segment(w, 1e6, 2e6, -3.0, None, -1.0) == -math.inf
 
     @pytest.mark.filterwarnings("error")
     def test_weibull_segment_without_likelihood(self):
         # no likelihood at a stretch's start means no mass in it, alone or
         # in a batch, as for the closed-form laws
         w = ChangePointLaw.weibull(1.5, 1.0)
-        assert w.segment_integral(0.5, 1.0, -math.inf, -math.inf, 1.0) == -math.inf
+        assert segment(w, 0.5, 1.0, -math.inf, -math.inf, 1.0) == -math.inf
         got = w.segment_integrals((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (-1.0, -math.inf, -2.0), (0.0,) * 3, (1.0,) * 3)
         assert got[1] == -math.inf
-        assert got[::2] == [w.segment_integral(0.0, 0.5, -1.0, 0.0, 1.0), w.segment_integral(1.0, 2.0, -2.0, 0.0, 1.0)]
+        assert got[::2] == [segment(w, 0.0, 0.5, -1.0, 0.0, 1.0), segment(w, 1.0, 2.0, -2.0, 0.0, 1.0)]
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -231,7 +236,7 @@ def test_weibull_first_stretch_matches_oracle(shape, sign):
     la = -3.0
     for magnitude, rel, scale in FIRST_STRETCHES:
         slope, b = sign * magnitude, rel * scale
-        got = ChangePointLaw.weibull(shape, scale).segment_integral(0.0, b, la, la + slope * b, slope)
+        got = segment(ChangePointLaw.weibull(shape, scale), 0.0, b, la, la + slope * b, slope)
         exact = weibull_first_stretch_oracle(shape, scale, b, la, slope)
         assert abs(got - float(exact)) <= 1e-9, (magnitude, rel, scale)
 
@@ -261,7 +266,7 @@ def weibull_far_stretch_oracle(shape, scale, b, la, slope):
 def test_weibull_far_first_stretch_matches_oracle(shape, slope):
     la = -3.0
     for rel in (1e13, 1e30, 1e100):
-        got = ChangePointLaw.weibull(shape, 1.0).segment_integral(0.0, rel, la, la + slope * rel, slope)
+        got = segment(ChangePointLaw.weibull(shape, 1.0), 0.0, rel, la, la + slope * rel, slope)
         exact = weibull_far_stretch_oracle(shape, 1.0, rel, la, slope)
         assert abs(got - float(exact)) <= 1e-12, rel
 
@@ -284,8 +289,25 @@ def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     a, b, la, slope = (np.concatenate((column, added)) for column, added in zip((a, b, la, slope), zip(*extra)))
     law = ChangePointLaw.weibull(shape, 3.0)
     together = law.segment_integrals(a, b, la, la, slope)
-    alone = [law.segment_integral(*row) for row in zip(a, b, la, la, slope)]
+    alone = [segment(law, *row) for row in zip(a, b, la, la, slope)]
     assert together == alone
+
+
+CONTINUOUS_LAWS = [ChangePointLaw.exponential(0.7), ChangePointLaw.weibull(1.5, 2.0),
+                   ChangePointLaw.point_mass(2.0), ChangePointLaw.table([(1.0, 0.25), (3.0, 1.0)])]
+
+
+@pytest.mark.parametrize("law", CONTINUOUS_LAWS, ids=lambda law: law.family)
+@pytest.mark.filterwarnings("error")
+def test_segment_integrals_empty_or_unlikely_stretch_is_minus_inf(law):
+    # an empty stretch (a == b, here at the point mass) and one with no
+    # likelihood at its start carry no mass, alone and among others
+    empty, unlikely = (2.0, 2.0, -1.0, -0.5, 1.0), (1.0, 2.0, -math.inf, -0.5, 1.0)
+    plain = (0.5, 2.5, -1.0, 1.0, 1.0)
+    assert segment(law, *empty) == segment(law, *unlikely) == -math.inf
+    together = law.segment_integrals(*zip(empty, plain, unlikely))
+    assert together == [-math.inf, segment(law, *plain), -math.inf]
+    assert together[1] > -math.inf
 
 
 class TestHistories:

@@ -119,20 +119,20 @@ class TestTheorem1Sweep:
         # singularity, so it stays within 4 Gauss-Kronrod panels
         from cpb import core
 
-        integrals, integrand, batches = core._weibull_segment_integrals, core._weibull_log_integrand, []
+        batch, integrand, batches = core._weibull_batch, core._weibull_log_integrand, []
 
-        def counting_integrals(*args):
+        def counting_batch(*args):
             # one batch per posterior: [first-stretch evaluations, all evaluations]
             batches.append([0, 0])
-            return integrals(*args)
+            return batch(*args)
 
-        def counting_integrand(x, offset, n_mapped, k):
-            # the mapped panels lead, and those of the first stretch start from x = 0
-            batches[-1][0] += x.shape[0] * int(np.count_nonzero(k[0, :n_mapped] == 0.0))
+        def counting_integrand(x, offset, mapped, k):
+            # the panels of the first stretch are mapped and start from x = 0
+            batches[-1][0] += x.shape[0] * int(np.count_nonzero(k[0, mapped] == 0.0))
             batches[-1][1] += x.size
-            return integrand(x, offset, n_mapped, k)
+            return integrand(x, offset, mapped, k)
 
-        monkeypatch.setattr(core, "_weibull_segment_integrals", counting_integrals)
+        monkeypatch.setattr(core, "_weibull_batch", counting_batch)
         monkeypatch.setattr(core, "_weibull_log_integrand", counting_integrand)
         monkeypatch.setenv("THREADS", "1")
         theorem1_sweep(SweepConfig(engine="continuous", instances=200, seed=0))
