@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import cpb._weibull as weibull_module
 import cpb.continuous as continuous_module
-import cpb.core as core_module
 from cpb.core import (
     TAIL_REPEAT,
     TAIL_ZERO,
@@ -409,9 +409,9 @@ def test_intensity_path_at_extremes(case):
 def test_gauss_kronrod_constants_integrate_monomials():
     # on [0, 1] the 21-point Kronrod rule is exact to degree 31 and its
     # 10-point Gauss rule to degree 19, so a wrong digit in a node or weight shows
-    kronrod, difference = core_module._GK_WEIGHTS
+    kronrod, difference = weibull_module._GK_WEIGHTS
     for degree in range(32):
-        powers = core_module._GK_NODES[:, 0] ** degree
+        powers = weibull_module._GK_NODES[:, 0] ** degree
         assert abs(kronrod @ powers - 1.0 / (degree + 1)) < 1e-14, degree
         if degree <= 19:
             assert abs((kronrod - difference) @ powers - 1.0 / (degree + 1)) < 1e-14, degree

@@ -117,9 +117,9 @@ class TestTheorem1Sweep:
         # evaluations (21 nodes a panel, every round): the first stretch (0, b]
         # is integrated in a variable without the u^(shape - 1) endpoint
         # singularity, so it stays within 4 Gauss-Kronrod panels
-        from cpb import core
+        from cpb import _weibull
 
-        batch, integrand, batches = core._weibull_batch, core._weibull_log_integrand, []
+        batch, integrand, batches = _weibull._weibull_batch, _weibull._weibull_log_integrand, []
 
         def counting_batch(*args):
             # one batch per posterior: [first-stretch evaluations, all evaluations]
@@ -132,8 +132,8 @@ class TestTheorem1Sweep:
             batches[-1][1] += x.size
             return integrand(x, offset, mapped, k)
 
-        monkeypatch.setattr(core, "_weibull_batch", counting_batch)
-        monkeypatch.setattr(core, "_weibull_log_integrand", counting_integrand)
+        monkeypatch.setattr(_weibull, "_weibull_batch", counting_batch)
+        monkeypatch.setattr(_weibull, "_weibull_log_integrand", counting_integrand)
         monkeypatch.setenv("THREADS", "1")
         theorem1_sweep(SweepConfig(engine="continuous", instances=200, seed=0))
         first = [n for n, _ in batches]
