@@ -79,8 +79,6 @@ def segment_integrals(shape: float, scale: float, a, b, la, slope) -> list[float
     return out.tolist()
 
 
-
-
 def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     """The weibull segment integrals of the stretches a < b in the columns
     of k (rows a, b, la, slope).
@@ -129,12 +127,8 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     lo, width = k[0], k[1] - k[0]
 
     # the first round: one panel per stretch, in order
-    offset = _GK_NODES * width
-    values = _weibull_log_integrand(offset + lo, offset, mapped, k)
-    kronrod, diff, top = _gk_sums(values)
-    log_panel = np.log(kronrod * width)
-    log_panel += top
-    fail = _gk_error(values, kronrod, diff) > _GK_REL_TOL * kronrod
+    log_panel, kronrod, error = _panels(lo, width, mapped, k)
+    fail = error > _GK_REL_TOL * kronrod
     if not np.count_nonzero(fail):
         return log_panel
 
@@ -168,13 +162,7 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
             restart = []
         if not len(row):
             break
-        panel_k = k[:, row]
-        offset = _GK_NODES * width
-        offset += lo - panel_k[0]
-        values = _weibull_log_integrand(offset + panel_k[0], offset, mapped[row], panel_k)
-        kronrod, diff, top = _gk_sums(values)
-        log_panel = np.log(kronrod * width)
-        log_panel += top
+        log_panel, kronrod, error = _panels(lo, width, mapped[row], k[:, row])
         excess = log_panel - ref[row]
         big = excess > 600.0
         if np.count_nonzero(big):
@@ -190,7 +178,7 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
         # stretch's running total
         share = np.exp(excess)
         total = converged + np.bincount(row, share, minlength=n)
-        fail = _gk_error(values, kronrod, diff) * share > _GK_REL_TOL * kronrod * total[row]
+        fail = error * share > _GK_REL_TOL * kronrod * total[row]
         if np.count_nonzero(fail):
             # a stretch stops at _GK_MAX_PANELS panels
             extra = np.bincount(row[fail], minlength=n)
@@ -204,33 +192,33 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gk_sums(values):
-    """Kronrod sums, Kronrod - Gauss differences and largest values of the
-    panels whose log node values are the columns of ``values``; the sums
-    are over the largest value and per unit width, and ``values`` ends
-    holding the node values over it."""
+def _panels(lo, width, mapped, k):
+    """Log values, Kronrod sums K and QUADPACK's qk21 error estimates of the
+    panels [lo, lo + width], one per column of k (the constants of
+    ``_weibull_log_integrand``, row 0 the place x - offset refers to); K and
+    the estimates are over a panel's largest node value and per unit width.
+
+    The estimate is spread * min(1, (200 |K - G| / spread)^1.5), with G the
+    Gauss sum and spread the Kronrod sum of the node values' distance from K.
+    The sums run node by node in the same order for every panel, so that a
+    panel's results do not depend on the other panels of the batch (those of
+    BLAS and of numpy's pairwise sums would)."""
+    offset = _GK_NODES * width
+    offset += lo - k[0]
+    values = _weibull_log_integrand(offset + k[0], offset, mapped, k)
     top = values.max(axis=0)
     values -= top
     np.exp(values, out=values)
-    # summed node by node in the same order for every panel, so that a
-    # panel's sums do not depend on the other panels of the batch (those of
-    # BLAS and of numpy's pairwise sums would)
     kronrod, diff = np.add.accumulate(_GK_WEIGHTS[:, :, None] * values, axis=1)[:, -1]
-    return kronrod, diff, top
-
-
-def _gk_error(values, kronrod, diff):
-    """QUADPACK's qk21 error estimate, spread * min(1, (200 |K - G| / spread)^1.5),
-    of panels from their node values (columns, over the largest), Kronrod
-    sums K and Kronrod - Gauss differences K - G, in the units of those;
-    spread is the Kronrod sum of the node values' distance from K."""
+    log_panel = np.log(kronrod * width)
+    log_panel += top
     values -= kronrod
     np.abs(values, out=values)
     values *= _GK_WEIGHTS[0, :, None]
     spread = np.add.accumulate(values)[-1]
     ratio = np.minimum(200.0 * np.abs(diff), spread)
     ratio /= np.maximum(spread, 1e-300)
-    return spread * ratio * np.sqrt(ratio)
+    return log_panel, kronrod, spread * ratio * np.sqrt(ratio)
 
 
 def _column_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
