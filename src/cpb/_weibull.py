@@ -133,9 +133,10 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
         return log_panel
 
     # A stretch whose panel fails starts over from its break points, if it
-    # has any, and is bisected otherwise.  The running totals are kept over
-    # exp(ref), the first estimates.
-    ref, converged, leaves = log_panel, (~fail).astype(float), np.ones(n, dtype=np.intp)
+    # has any, and is bisected into two panels otherwise; leaves counts a
+    # stretch's panels.  The running totals are kept over exp(ref), the
+    # first estimates.
+    ref, converged, leaves = log_panel, (~fail).astype(float), np.full(n, 2, dtype=np.intp)
     restart = []  # (stretch, left end, right end) of the panels of the stretches that start over
     for i in np.flatnonzero(fail).tolist():
         a, b, slope = ends[:, i].tolist()

@@ -293,6 +293,26 @@ def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     assert together == alone
 
 
+def test_weibull_panel_cap_counts_the_first_bisection(monkeypatch):
+    # a stretch without break points whose first panel fails is bisected
+    # into two panels, and both count toward the cap: with a cap of 3 and a
+    # tolerance no panel meets, the rounds hold 1 and 2 panels (not 1, 2, 4)
+    from cpb import _weibull
+
+    rounds, integrand = [], _weibull._weibull_log_integrand
+
+    def counting_integrand(x, offset, mapped, k):
+        rounds.append(x.shape[1])
+        return integrand(x, offset, mapped, k)
+
+    monkeypatch.setattr(_weibull, "_weibull_log_integrand", counting_integrand)
+    monkeypatch.setattr(_weibull, "_GK_MAX_PANELS", 3)
+    monkeypatch.setattr(_weibull, "_GK_REL_TOL", 0.0)
+    assert _weibull._weibull_breaks(1.5, 1.0, 1.0, 1.5, 0.0) == []
+    assert segment(ChangePointLaw.weibull(1.5, 1.0), 1.0, 1.5, 0.0, 0.0, 0.0) > -math.inf
+    assert rounds == [1, 2]
+
+
 CONTINUOUS_LAWS = [ChangePointLaw.exponential(0.7), ChangePointLaw.weibull(1.5, 2.0),
                    ChangePointLaw.point_mass(2.0), ChangePointLaw.table([(1.0, 0.25), (3.0, 1.0)])]
 
