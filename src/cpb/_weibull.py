@@ -1,17 +1,44 @@
-"""The weibull law's segment integrals: adaptive Gauss-Kronrod quadrature.
+"""The weibull law's segment integrals: an adaptive Gauss-Kronrod rule.
 
-``Weibull.segment_integrals`` calls ``segment_integrals`` here.
+``Weibull.segment_integrals`` calls ``segment_integrals`` here with all the
+stretches (a, b] of a forward pass at once.  The rule is the 10-point Gauss
+and 21-point Kronrod pair of QUADPACK's qk21 (Kronrod 1965; Piessens et
+al., QUADPACK, 1983), run in numpy.  Each round evaluates the 21 nodes of
+every open panel at once (``_panels``) and sums each panel in log space
+from its largest node value, so mass deep in the density's tail, where the
+density alone is below the smallest double, still counts.  A panel is
+bisected for the next round while QUADPACK's error estimate exceeds 1e-11
+of its stretch's running total, until the stretch has 200 panels.  The
+bound holds per panel, so the summed estimate of a stretch with n panels
+is below n 1e-11 of its integral (2e-9 at most), where QUADPACK holds the
+sum itself to the tolerance.
+
+Every stretch starts as one panel.  One whose panel fails the first round
+starts over from the break points of ``_weibull_breaks``, if it has any,
+and is bisected into two otherwise.  Only a failing one needs them: in u
+the integrand is log-concave (shape >= 1) or log-convex, so a top narrower
+than its panel is at the panel's largest node or next to it, and with each
+panel shifted by its own largest node it shows up in the error estimate
+rather than underflowing out of sight.
+
+A stretch with a < b / 4 ("mapped"), the first one always, runs in
+x = (u / b)^(shape / j) with j = max(3, ceil(shape)), where
+f(u) du = j s_b x^(j - 1) exp(-s_b x^j) dx with s_b = (b / scale)^shape:
+the density's u^(shape - 1) factor, whose derivatives blow up at 0, turns
+into the smooth x^(j - 1).  The others stay in u, because their left end
+(a / b)^(shape / j) would lose relative width as a comes close to b on a
+long history.  Past u_max = scale 2^(1000 / shape) the density is below
+exp(-2^1000) and vanishes against any mass before it, while
+(u / scale)^shape soon leaves the float range: a stretch ends there, and
+one that starts beyond it carries no mass.
 """
 
 import math
 
 import numpy as np
 
-# The weibull segment integral runs adaptive Gauss-Kronrod quadrature on all
-# the stretches of a forward pass at once.  The pair is the 10-point Gauss
-# and 21-point Kronrod rule of QUADPACK's qk21 (Kronrod 1965; Piessens et al.,
-# QUADPACK, 1983): the nonnegative Kronrod nodes on [-1, 1], outermost first,
-# and their weights.  The Gauss nodes are every second one, from the second.
+# The nonnegative Kronrod nodes on [-1, 1], outermost first, and their
+# weights.  The Gauss nodes are every second one, from the second.
 _KRONROD_NODES = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -59,12 +86,8 @@ _MAPPED_BELOW = 0.25
 
 
 def segment_integrals(shape: float, scale: float, a, b, la, slope) -> list[float]:
-    # adaptive Gauss-Kronrod panels on all the stretches at once
-    # (_weibull_batch).  Past u_max = scale 2^(1000 / shape) the density
-    # is below exp(-2^1000) and vanishes against any mass before it,
-    # while (u / scale)^shape soon leaves the float range: a stretch ends
-    # there, and one that starts beyond it carries no mass.  The rows of
-    # k: a, b, la, slope, then the constants of _weibull_log_integrand
+    # the rows of k: a, b (at most u_max), la, slope, then the constants of
+    # _weibull_log_integrand
     k = np.empty((9, len(a)))
     k[:4] = a, b, la, slope
     log_scale = math.log(scale)
@@ -81,33 +104,7 @@ def segment_integrals(shape: float, scale: float, a, b, la, slope) -> list[float
 
 def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     """The weibull segment integrals of the stretches a < b in the columns
-    of k (rows a, b, la, slope).
-
-    The stretches with a < b / 4 ("mapped") run in x = (u / b)^(shape / j)
-    with j = max(3, ceil(shape)), where
-    f(u) du = j s_b x^(j - 1) exp(-s_b x^j) dx with s_b = (b / scale)^shape:
-    the density's u^(shape - 1) factor, whose derivatives blow up at 0,
-    turns into the smooth x^(j - 1).  This takes the first stretch, which
-    starts at 0, and a stretch that starts close to 0 on the scale of its
-    length.  The others stay in u, because their left end (a / b)^(shape / j)
-    would lose relative width as a comes close to b on a long history.
-
-    Each round evaluates the 21 Kronrod nodes of every open panel at once
-    and sums each panel in log space from its largest node value.  A panel
-    is bisected for the next round while QUADPACK's error estimate from its
-    Kronrod - Gauss difference exceeds 1e-11 of its stretch's running total,
-    until the stretch has 200 panels.  The bound holds per panel, so the
-    summed estimate of a stretch with n panels is below n 1e-11 of its
-    integral, where QUADPACK holds the sum itself to the tolerance.
-
-    Every stretch starts as one panel.  One whose panel fails the first
-    round starts over from the break points of ``_weibull_breaks``, if it
-    has any.  Only a failing one needs them: in u the integrand is
-    log-concave (shape >= 1) or log-convex, so a top narrower than its
-    panel is at the panel's largest node or next to it, and with each panel
-    shifted by its own largest node it shows up in the error estimate
-    rather than underflowing out of sight.
-    """
+    of k (rows a, b, la, slope), by the rule of the module docstring."""
     n = k.shape[1]
     log_scale = math.log(scale)
     j = max(3, math.ceil(shape))
@@ -132,10 +129,9 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     if not np.count_nonzero(fail):
         return log_panel
 
-    # A stretch whose panel fails starts over from its break points, if it
-    # has any, and is bisected into two panels otherwise; leaves counts a
-    # stretch's panels.  The running totals are kept over exp(ref), the
-    # first estimates.
+    # A failing stretch starts over from its break points or is bisected;
+    # leaves counts a stretch's panels.  The running totals are kept over
+    # exp(ref), the first estimates.
     ref, converged, leaves = log_panel, (~fail).astype(float), np.full(n, 2, dtype=np.intp)
     restart = []  # (stretch, left end, right end) of the panels of the stretches that start over
     for i in np.flatnonzero(fail).tolist():

@@ -9,15 +9,7 @@ Each law class gives those of all the stretches of a history in one call,
 ``segment_integrals`` (-inf for an empty stretch and for one without
 likelihood at its start): closed form for the exponential and table
 families, exact evaluation for point masses, and for the weibull density
-an adaptive Gauss-Kronrod (G10/K21) rule run on all the stretches at
-once, in numpy, which bisects a panel while its error estimate exceeds
-1e-11 of its stretch's running total (a bound per panel: a stretch's
-summed estimate stays below 1e-11 times its panel count, at most 200).
-The weibull rule runs a stretch that starts at or near 0, the first one
-always, in x = (u / b)^(shape / j) with j = max(3, ceil(shape)), where
-the density's u^(shape - 1) factor turns into the smooth x^(j - 1); a
-later stretch (a, b] stays in u, because its left end (a / b)^(shape / j)
-would lose relative width when a is close to b on a long history.
+the adaptive Gauss-Kronrod rule described in ``cpb._weibull``.
 
 The engine evaluates them in one forward pass over the arrivals, the
 continuous form of Shiryaev's Bayesian change-point filter.  The pass

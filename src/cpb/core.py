@@ -170,13 +170,13 @@ class ChangePointLaw:
     (a, b], with la and lb the integrand's log values at a and b.  An empty
     stretch (a == b) and one with la = -inf give -inf.  By default it maps
     a family's closed form ``_segment`` over the stretches, and ``Weibull``
-    replaces it with an adaptive Gauss-Kronrod rule run on all the
-    stretches at once.  ``cell_hazards(edges)`` gives the probability of
-    switching within each cell between consecutive edges, given no switch
-    before it; by default it maps ``sf``, and ``Weibull`` replaces it with
-    numpy on its log survival.  The discrete family ``Hazard`` gives ``hazard``,
-    and ``sf``/``log_sf`` at an integer slot.  An operation of the other
-    kind raises ValueError.
+    replaces it with the adaptive Gauss-Kronrod rule of ``cpb._weibull``,
+    run on all the stretches at once.  ``cell_hazards(edges)`` gives the
+    probability of switching within each cell between consecutive edges,
+    given no switch before it; by default it maps ``sf``, and ``Weibull``
+    replaces it with numpy on its log survival.  The discrete family
+    ``Hazard`` gives ``hazard``, and ``sf``/``log_sf`` at an integer slot.
+    An operation of the other kind raises ValueError.
 
     A new family is one subclass plus its entry in ``LAWS``; a continuous
     one writes ``_segment`` for one stretch or ``segment_integrals``.  The
