@@ -540,6 +540,18 @@ class TestVerifySuites:
         assert rows_of(out)[0]["status"] == "fail"
         assert "no intensity drop" in err
 
+    def test_sampler_failure_exits_1_without_a_table(self, capsys, monkeypatch):
+        # a suite that cannot draw its instances has no verdict to tabulate
+        from cpb import verify
+        from cpb.core import ConditionReport
+
+        refused = ConditionReport(False, False, False, False, False, 1)
+        monkeypatch.setattr(verify, "validate_rates", lambda rates, bound=None: refused)
+        monkeypatch.setenv("THREADS", "1")
+        code, out, err = run_cli(capsys, "verify", str(CFG / "discrete.cfg"), "--suite", "theorem1")
+        assert (code, out) == (cli.EXIT_SUITE_FAILURE, "")
+        assert err == "suite failure: discrete model sampler kept producing inadmissible schedules\n"
+
     def test_counterexample_config_model_found(self, tmp_path, capsys):
         path = write(tmp_path, "swapped.cfg", SWAPPED_LEVELS)
         code, out, _ = run_cli(capsys, "verify", path, "--suite", "counterexample")

@@ -116,6 +116,14 @@ class TestLikelihood:
             1.0 * math.exp(-1.0), rel=1e-12
         )
 
+    def test_arrival_past_a_zero_tail_is_impossible(self):
+        # a zero tail halts the process after two arrivals: a third has rate 0
+        model = ContinuousModel(RateSchedule((1.0, 1.0), (2.0, 2.0), TAIL_ZERO),
+                                ChangePointLaw.exponential(1.0))
+        h = History(2.0, (0.5, 1.0, 2.0))
+        for u in (0.0, 0.7, math.inf):
+            assert log_likelihood_given_changepoint(model, h, u) == -math.inf
+
 
 class TestPosterior:
     def test_unit_window_half(self):

@@ -1,6 +1,8 @@
 """Core types: validation, the history order, conditions, shift operators."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -183,6 +185,7 @@ class TestChangePointLaw:
         assert law.rate == 0.5
         tab = ChangePointLaw.table([(1.0, 1.0)]).scaled_time(3.0)
         assert tab.knots[-1][0] == 3.0
+        assert ChangePointLaw.point_mass(1.5).scaled_time(2.0) == ChangePointLaw.point_mass(3.0)
 
     def test_kind_dispatch(self):
         with pytest.raises(ValueError):
@@ -291,6 +294,24 @@ def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     together = law.segment_integrals(a, b, la, la, slope)
     alone = [segment(law, *row) for row in zip(a, b, la, la, slope)]
     assert together == alone
+
+
+# stretches pinned with their log integrals from a dense 30-digit mpmath
+# split (tests/golden/weibull_dense.py writes them), three of them with a
+# peak inside the stretch
+DENSE = json.loads((Path(__file__).parent / "golden" / "weibull-dense.json").read_text())
+
+
+@pytest.mark.filterwarnings("error")
+def test_weibull_matches_dense_oracle():
+    # the rule's own bound: an error estimate below 1e-11 of the stretch's
+    # integral per panel, at most 200 panels, so 2e-9 relative, which is
+    # the absolute error allowed in the log
+    for row in DENSE:
+        law = ChangePointLaw.weibull(row["shape"], row["scale"])
+        a, b, la, slope = row["a"], row["b"], row["la"], row["slope"]
+        got = segment(law, a, b, la, la + slope * (b - a), slope)
+        assert abs(got - float(row["log_integral"])) <= 200 * 1e-11, row
 
 
 def test_weibull_panel_cap_counts_the_first_bisection(monkeypatch):
