@@ -191,9 +191,9 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
 
 def _panels(lo, width, mapped, k):
     """Log values, Kronrod sums K and QUADPACK's qk21 error estimates of the
-    panels [lo, lo + width], one per column of k (the constants of
-    ``_weibull_log_integrand``, row 0 the place x - offset refers to); K and
-    the estimates are over a panel's largest node value and per unit width.
+    panels [lo, lo + width], one per column of k (row 0 the D and rows 2 to
+    8 the constants of ``_weibull_log_integrand``); K and the estimates are
+    per unit width and over a panel's largest node value.
 
     The estimate is spread * min(1, (200 |K - G| / spread)^1.5), with G the
     Gauss sum and spread the Kronrod sum of the node values' distance from K.
