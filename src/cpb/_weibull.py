@@ -1,17 +1,21 @@
 """The weibull law's segment integrals: an adaptive Gauss-Kronrod rule.
 
-``Weibull.segment_integrals`` calls ``segment_integrals`` here with all the
-stretches (a, b] of a forward pass at once.  The rule is the 10-point Gauss
-and 21-point Kronrod pair of QUADPACK's qk21 (Kronrod 1965; Piessens et
-al., QUADPACK, 1983), run in numpy.  Each round evaluates the 21 nodes of
-every open panel at once (``_panels``) and sums each panel in log space
-from its largest node value, so mass deep in the density's tail, where the
-density alone is below the smallest double, still counts.  A panel is
-bisected for the next round while QUADPACK's error estimate exceeds 1e-11
-of its stretch's running total, until the stretch has 200 panels.  The
-bound holds per panel, so the summed estimate of a stretch with n panels
-is below n 1e-11 of its integral (2e-9 at most), where QUADPACK holds the
-sum itself to the tolerance.
+``segment_integrals`` here takes stretches (a, b], each under its own law:
+those of every weibull history of a set of forward passes at once
+(``continuous._forward_paths``), or those of one law
+(``Weibull.segment_integrals``).  Each constant that a law sets below
+(u_max, j, the mapped variable, the break points) is its stretch's own, and
+a stretch's result does not depend on the others of its call.  The rule is
+the 10-point Gauss and 21-point Kronrod pair of QUADPACK's qk21 (Kronrod 1965;
+Piessens et al., QUADPACK, 1983), run in numpy.  Each round evaluates the
+21 nodes of every open panel at once (``_panels``) and sums each panel in
+log space from its largest node value, so mass deep in the density's tail,
+where the density alone is below the smallest double, still counts.  A
+panel is bisected for the next round while QUADPACK's error estimate
+exceeds 1e-11 of its stretch's running total, until the stretch has 200
+panels.  The bound holds per panel, so the summed estimate of a stretch
+with n panels is below n 1e-11 of its integral (2e-9 at most), where
+QUADPACK holds the sum itself to the tolerance.
 
 Every stretch starts as one panel.  One whose panel fails the first round
 starts over from the break points of ``_weibull_breaks``, if it has any,
@@ -85,41 +89,47 @@ _LOG_POWER_MAX = 1000.0 * math.log(2.0)
 _MAPPED_BELOW = 0.25
 
 
-def segment_integrals(shape: float, scale: float, a, b, la, slope) -> list[float]:
-    # the rows of k: a, b (at most u_max), la, slope, then the constants of
-    # _weibull_log_integrand
-    k = np.empty((9, len(a)))
+def segment_integrals(laws, a, b, la, slope) -> list[float]:
+    # laws: (shape, scale, count) of each run of consecutive stretches
+    # under one law.  The rows of k: a, b (at most u_max), la, slope, the
+    # constants of _weibull_log_integrand, then log(shape / scale), shape
+    # and scale: every stretch has its own law
+    k = np.empty((12, len(a)))
     k[:4] = a, b, la, slope
-    log_scale = math.log(scale)
-    if len(a) and shape * (math.log(max(b)) - log_scale) > _LOG_POWER_MAX:
-        u_max = math.exp(log_scale + _LOG_POWER_MAX / shape)
-        k[1] = np.where(shape * (np.log(k[1]) - log_scale) > _LOG_POWER_MAX, u_max, k[1])
+    consts = np.array([(s - 1.0, 1.0 / c, 1.0, s, 1.0, math.log(s / c), s, c) for s, c, _ in laws])
+    k[4:] = consts.repeat([count for *_, count in laws], axis=0).T
+    end = 0
+    for shape, scale, count in laws:
+        run, end, log_scale = k[1, end:end + count], end + count, math.log(scale)
+        if count and shape * (math.log(run.max()) - log_scale) > _LOG_POWER_MAX:
+            u_max = math.exp(log_scale + _LOG_POWER_MAX / shape)
+            run[shape * (np.log(run) - log_scale) > _LOG_POWER_MAX] = u_max
     # the batch takes no stretch that is empty (as past u_max) or has no
     # likelihood at its start
     live = (k[0] < k[1]) & (k[2] > -math.inf)
     out = np.full(len(a), -math.inf)
-    out[live] = _weibull_batch(shape, scale, k[:, live])
+    out[live] = _weibull_batch(k[:, live])
     return out.tolist()
 
 
-def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
+def _weibull_batch(k: np.ndarray) -> np.ndarray:
     """The weibull segment integrals of the stretches a < b in the columns
-    of k (rows a, b, la, slope), by the rule of the module docstring."""
+    of k (rows as in ``segment_integrals``), by the rule of the module
+    docstring."""
     n = k.shape[1]
-    log_scale = math.log(scale)
-    j = max(3, math.ceil(shape))
     mapped = k[0] < _MAPPED_BELOW * k[1]
     ends, columns = k[[0, 1, 3]], []  # (a, b, slope) of each stretch; the mapped ones' constants
     for i in np.flatnonzero(mapped).tolist():
         a, b, la, slope = k[:4, i].tolist()
-        log_b = math.log(b) - log_scale
+        shape, scale = k[10:, i].tolist()
+        j = max(3, math.ceil(shape))
+        log_b = math.log(b) - math.log(scale)
         # slope (u - a) = slope b x^(j / shape) - slope a, and x runs from (a / b)^(shape / j) to 1
         columns.append((i, ((a / b) ** (shape / j), 1.0, la - slope * a + math.log(j) + shape * log_b,
                             slope * b, j - 1.0, 1.0, math.exp(shape * log_b), j, j / shape)))
-    k[2] += math.log(shape / scale)
-    k[4:].T[:] = shape - 1.0, 1.0 / scale, 1.0, shape, 1.0
+    k[2] += k[9]
     for i, column in columns:
-        k[:, i] = column
+        k[:9, i] = column
     # rows 0 and 1 of k now hold the ends of each stretch's panel
     lo, width = k[0], k[1] - k[0]
 
@@ -136,9 +146,11 @@ def _weibull_batch(shape: float, scale: float, k: np.ndarray) -> np.ndarray:
     restart = []  # (stretch, left end, right end) of the panels of the stretches that start over
     for i in np.flatnonzero(fail).tolist():
         a, b, slope = ends[:, i].tolist()
+        shape, scale = k[10:, i].tolist()
         points = _weibull_breaks(shape, scale, a, b, slope)
         if mapped[i] and points:
             # the break points carry over at their mapped places
+            j = max(3, math.ceil(shape))
             points = sorted({x for x in ((p / b) ** (shape / j) for p in points) if lo[i] < x < 1.0})
         if points != []:
             fail[i] = False
@@ -237,7 +249,7 @@ def _weibull_log_integrand(x, offset, mapped, k):
     panels the boolean mask ``mapped`` marks.  offset holds x - D, and
     becomes the result; rows 2 to 8 of k are A, B, C, E, F, Q and M of each
     panel."""
-    _, _, a, b, c, e, f, q, m = k
+    a, b, c, e, f, q, m = k[2:9]
     t = offset
     if np.count_nonzero(mapped):
         t[:, mapped] = _column_power(np.ascontiguousarray(x[:, mapped]), m[mapped])

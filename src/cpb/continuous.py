@@ -19,6 +19,9 @@ post-change factors and new mass enters through the stretch's integral,
 which does not depend on the switched mass: one call evaluates them all.
 A posterior costs O(k) in the arrival count k, and the same pass yields
 the posterior and intensity at every arrival instant (``intensity_path``).
+The passes of many histories run together (``_forward_paths``, on a chunk
+of theorem1 sweep instances), with one integral call for all their
+weibull stretches, so that the rule's fixed numpy cost is paid once.
 The direct likelihood ``log_likelihood_given_changepoint`` is O(k^2) per
 switch time and is kept as a test oracle only.
 
@@ -32,6 +35,7 @@ through it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -48,11 +52,13 @@ from .core import (
     PreconditionError,
     RateSchedule,
     TAIL_REPEAT,
+    Weibull,
     _log,
     _log_add,
     survival_from_log_masses,
 )
 from .discrete import DiscreteModel
+from . import _weibull
 from . import discrete as _discrete
 
 __all__ = [
@@ -134,31 +140,13 @@ def log_likelihood_given_changepoint(model: ContinuousModel, h: History, u: floa
     return log_like
 
 
-def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, float]]:
-    """One pass over the arrivals: (instant, log_change, log_stay) at every
-    arrival instant and at the horizon.
-
-    log_stay is the log likelihood of the history up to the instant when
-    the switch has not happened by then, log_change the log of the
-    likelihood integrated against the switch law over switch times up to
-    the instant.  Between consecutive instants a and b, with i arrivals
-    before b, the switched mass picks up the post-change factors of the
-    stretch and of the arrival at b, and mass enters from the switch times
-    in (a, b], where the log likelihood is affine in the switch time with
-    slope post(i) - pre(i).  A switch exactly at an arrival instant puts
-    that arrival on the post-change rate, so it belongs to the stretch
-    that ends there.
-
-    A stretch's integral does not depend on log_change, so a first loop
-    collects the stretches, one ``segment_integrals`` call evaluates them
-    all, and a second loop adds them up; an empty stretch (an arrival on
-    the horizon) and one with no likelihood at its start add -inf, that
-    is nothing.  Each step costs O(1) (O(log knots) for a table law).
-    """
+def _stretches(model: ContinuousModel, h: History):
+    """The stretches (a, b, la, lb, slope) of a history's forward pass, and
+    (instant, step, log_stay) at each arrival instant and at the horizon."""
     rates = model.rates
     pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
     pre_tail, post_tail = rates.pre(listed), rates.post(listed)
-    trail, stretches = [], []  # (instant, step, log_stay); (a, b, la, lb, slope)
+    trail, stretches = [], []
     k = h.count
     log_stay = 0.0
     a = 0.0
@@ -173,12 +161,65 @@ def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, flo
         log_stay += log_pre - pre * width
         trail.append((b, step, log_stay))
         a = b
-    log_change = -math.inf
-    path = []
-    for (b, step, log_stay), mass in zip(trail, model.law.segment_integrals(*zip(*stretches))):
-        log_change = _log_add(log_change + step, mass)
-        path.append((b, log_change, log_stay))
-    return path
+    return stretches, trail
+
+
+def _forward_paths(pairs) -> list[list[tuple[float, float, float]]]:
+    """The forward pass of each (model, history) pair: (instant, log_change,
+    log_stay) at every arrival instant and at the horizon.
+
+    log_stay is the log likelihood of the history up to the instant when
+    the switch has not happened by then, log_change the log of the
+    likelihood integrated against the switch law over switch times up to
+    the instant.  Between consecutive instants a and b, with i arrivals
+    before b, the switched mass picks up the post-change factors of the
+    stretch and of the arrival at b (step), and mass enters from the switch
+    times in (a, b], where the log likelihood is affine in the switch time
+    with slope post(i) - pre(i).  A switch exactly at an arrival instant
+    puts that arrival on the post-change rate, so it belongs to the stretch
+    that ends there.
+
+    A stretch's integral does not depend on log_change, so ``_stretches``
+    builds the stretches of every pair first, and a fold adds them up; an
+    empty stretch (an arrival on the horizon) and one with no likelihood at
+    its start add -inf, that is nothing.  The stretches of all the weibull
+    pairs go to one ``cpb._weibull`` call, each with its own law, and those
+    of any other law to one ``segment_integrals`` call per pair.  A
+    stretch's integral does not depend on the others of its call, so a pass
+    has the same bits alone (``_forward``) and among others.  Each step
+    costs O(1) (O(log knots) for a table law).
+    """
+    built = [_stretches(model, h) for model, h in pairs]
+    weibull = [(model.law, stretches) for (model, _), (stretches, _) in zip(pairs, built)
+               if isinstance(model.law, Weibull)]
+    if weibull:
+        a, b, la, _, slope = zip(*itertools.chain.from_iterable(stretches for _, stretches in weibull))
+        laws = [(law.shape, law.scale, len(stretches)) for law, stretches in weibull]
+        flat = iter(_weibull.segment_integrals(laws, a, b, la, slope))
+    paths = []
+    for (model, _), (stretches, trail) in zip(pairs, built):
+        if isinstance(model.law, Weibull):
+            mass = itertools.islice(flat, len(stretches))
+        else:
+            mass = model.law.segment_integrals(*zip(*stretches))
+        log_change = -math.inf
+        path = []
+        for (b, step, log_stay), m in zip(trail, mass):
+            log_change = _log_add(log_change + step, m)
+            path.append((b, log_change, log_stay))
+        paths.append(path)
+    return paths
+
+
+def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, float]]:
+    """The forward pass of one history (``_forward_paths``)."""
+    return _forward_paths([(model, h)])[0]
+
+
+def _survivals(pairs) -> list[float]:
+    """``posterior_survival`` of each (model, history) pair, from one ``_forward_paths`` call."""
+    return [survival_from_log_masses(path[-1][1], model.law.log_sf(h.horizon) + path[-1][2])
+            for (model, h), path in zip(pairs, _forward_paths(pairs))]
 
 
 def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
@@ -200,8 +241,7 @@ def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
 
 def posterior_survival(model: ContinuousModel, h: History) -> float:
     """Posterior probability that the switch lies beyond the horizon."""
-    _, log_change, log_stay = _forward(model, h)[-1]
-    return survival_from_log_masses(log_change, model.law.log_sf(h.horizon) + log_stay)
+    return _survivals([(model, h)])[0]
 
 
 def intensity(model: ContinuousModel, h: History) -> PosteriorResult:

@@ -287,7 +287,7 @@ class Weibull(ChangePointLaw):
         return Weibull(self.shape, self.scale * factor)
 
     def segment_integrals(self, a, b, la, lb, slope):
-        return _weibull.segment_integrals(self.shape, self.scale, a, b, la, slope)
+        return _weibull.segment_integrals([(self.shape, self.scale, len(a))], a, b, la, slope)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     ChangePointLaw,
     DiscreteHistory,
     History,
+    PosteriorResult,
     PreconditionError,
     RateSchedule,
     SearchFailureError,
@@ -118,12 +119,23 @@ class SweepReport:
         return not self.violations
 
 
+def _evaluate_pairs(engine: str, instances) -> list[dict[str, float]]:
+    """The four Witness value fields of each (model, h_low, h_high) in the
+    requested engine; the continuous one evaluates all their histories at once."""
+    histories = [(model, h) for model, *pair in instances for h in pair]
+    if engine == "discrete":
+        results = [disc.intensity(model, h) for model, h in histories]
+    else:
+        results = [PosteriorResult.from_survival(model.rates, h.count, survival)
+                   for (model, h), survival in zip(histories, cont._survivals(histories))]
+    return [{"posterior_low": low.prob_before, "posterior_high": high.prob_before,
+             "intensity_low": low.intensity, "intensity_high": high.intensity}
+            for low, high in zip(results[::2], results[1::2])]
+
+
 def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
     """The four Witness value fields of a history pair in the requested engine."""
-    intensity = disc.intensity if engine == "discrete" else cont.intensity
-    low, high = intensity(model, h_low), intensity(model, h_high)
-    return {"posterior_low": low.prob_before, "posterior_high": high.prob_before,
-            "intensity_low": low.intensity, "intensity_high": high.intensity}
+    return _evaluate_pairs(engine, [(model, h_low, h_high)])[0]
 
 
 def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
@@ -141,10 +153,8 @@ def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
             ([0.0], np.cumsum(rng.uniform(0.0, 0.3, size=size - 1)))
         )
         s_post = s_pre + gap
-        pre = tuple(-np.expm1(-s_pre))
-        post = tuple(-np.expm1(-s_post))
-        rates = RateSchedule(pre, post)
-        hazards = tuple(rng.uniform(0.02, 0.4, size=int(rng.integers(1, 4))))
+        rates = RateSchedule((-np.expm1(-s_pre)).tolist(), (-np.expm1(-s_post)).tolist())
+        hazards = rng.uniform(0.02, 0.4, size=int(rng.integers(1, 4))).tolist()
         model = disc.DiscreteModel(rates, ChangePointLaw.discrete_hazard(hazards))
         report = validate_rates(rates)  # counts past size + 1 tie under the repeating tail
         if report.plo and report.ser:
@@ -167,7 +177,7 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
         else:
             gaps = rng.uniform(0.0, CONT_RATE_HIGH, size=size)
             gaps[rng.random(size) < 0.15] = 0.0
-        rates = RateSchedule(tuple(pre), tuple(pre + gaps))
+        rates = RateSchedule(pre.tolist(), (pre + gaps).tolist())
         if rng.random() < WEIBULL_SHARE:
             law = ChangePointLaw.weibull(rng.uniform(0.8, 1.8), rng.uniform(0.5, 2.0))
         else:
@@ -196,27 +206,34 @@ def _sample_continuous_pair(rng: np.random.Generator):
     k = int(rng.integers(0, MAX_COUNT + 1))
     a = np.sort(rng.uniform(0.0, t, size=k))
     b = np.sort(rng.uniform(0.0, t, size=k))
-    low = History(t, tuple(np.minimum(a, b)))
-    high = History(t, tuple(np.maximum(a, b)))
+    low = History(t, np.minimum(a, b).tolist())
+    high = History(t, np.maximum(a, b).tolist())
     return low, high
 
 
-def _sweep_instance(cfg: SweepConfig, index: int):
-    rng = np.random.default_rng((cfg.seed, index))
-    if cfg.engine == "discrete":
-        model = _sample_discrete_model(rng)
-        h_low, h_high = _sample_discrete_pair(rng)
-    else:
-        model = _sample_continuous_model(cfg, rng)
-        h_low, h_high = _sample_continuous_pair(rng)
-    values = _evaluate_pair(cfg.engine, model, h_low, h_high)
-    post_margin = values["posterior_low"] - values["posterior_high"]
-    int_margin = values["intensity_high"] - values["intensity_low"]
-    witness = None
-    if post_margin < -cfg.tolerance or int_margin < -cfg.tolerance:
-        witness = Witness(cfg.engine, model, h_low, h_high, margin=min(post_margin, int_margin),
-                          note="monotonicity violated", **values)
-    return post_margin, int_margin, witness
+_CHUNK = 64  # the instances a sweep draws and evaluates together: one pool task
+
+
+def _sweep_chunk(cfg: SweepConfig, start: int):
+    """(posterior margin, intensity margin, witness or None) of the instances
+    start, start + 1, ... of one chunk, evaluated together."""
+    drawn = []
+    for index in range(start, min(start + _CHUNK, cfg.instances)):
+        rng = np.random.default_rng((cfg.seed, index))
+        if cfg.engine == "discrete":
+            drawn.append((_sample_discrete_model(rng), *_sample_discrete_pair(rng)))
+        else:
+            drawn.append((_sample_continuous_model(cfg, rng), *_sample_continuous_pair(rng)))
+    out = []
+    for (model, h_low, h_high), values in zip(drawn, _evaluate_pairs(cfg.engine, drawn)):
+        post_margin = values["posterior_low"] - values["posterior_high"]
+        int_margin = values["intensity_high"] - values["intensity_low"]
+        witness = None
+        if post_margin < -cfg.tolerance or int_margin < -cfg.tolerance:
+            witness = Witness(cfg.engine, model, h_low, h_high, margin=min(post_margin, int_margin),
+                              note="monotonicity violated", **values)
+        out.append((post_margin, int_margin, witness))
+    return out
 
 
 def _worker_count() -> int:
@@ -230,27 +247,26 @@ def _worker_count() -> int:
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Check monotonicity on randomly drawn comparable history pairs.
 
-    Every instance derives its own generator from (seed, index), so the
-    outcome is identical whether instances run serially or across the
+    The instances come in chunks of 64: a chunk draws its instances, each
+    from its own generator derived from (seed, index), and evaluates them
+    together, and a history's values do not depend on its chunk.  So the
+    outcome is identical whether the chunks run serially or across the
     worker count set by the THREADS environment variable.
     """
     workers = _worker_count()
-    indices = range(cfg.instances)
+    starts = range(0, cfg.instances, _CHUNK)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads the pool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_instance, [cfg] * cfg.instances, indices, chunksize=64))
+            chunks = list(pool.map(_sweep_chunk, [cfg] * len(starts), starts))
     else:
-        results = [_sweep_instance(cfg, i) for i in indices]
-
-    post_margins = [r[0] for r in results]
-    int_margins = [r[1] for r in results]
-    violations = tuple(r[2] for r in results if r[2] is not None)
+        chunks = [_sweep_chunk(cfg, start) for start in starts]
+    post_margins, int_margins, witnesses = zip(*(r for chunk in chunks for r in chunk))
     return SweepReport(
         engine=cfg.engine,
         pairs=cfg.instances,
-        violations=violations,
+        violations=tuple(w for w in witnesses if w is not None),
         min_posterior_margin=min(post_margins),
         max_posterior_margin=max(post_margins),
         min_intensity_margin=min(int_margins),

@@ -1,5 +1,6 @@
 """Core types: validation, the history order, conditions, shift operators."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -274,6 +275,19 @@ def test_weibull_far_first_stretch_matches_oracle(shape, slope):
         assert abs(got - float(exact)) <= 1e-12, rel
 
 
+def batch_stretches(seed):
+    """(a, b, la, slope) of mapped first stretches, bisected ones, ones in u,
+    steep ones and a far one."""
+    rng = np.random.default_rng(seed)
+    a = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 10.0, 40))))
+    b = a + rng.uniform(0.05, 2.0, a.size)
+    la, slope = rng.uniform(-5.0, 0.0, a.size), rng.uniform(-30.0, 30.0, a.size)
+    # (a, b, la, slope) of the steep stretches and of the far one
+    extra = [(1.0, 6.0, -1.0, -500.0), (2.0, 12.0, -1.0, -1000.0), (3.0, 8.0, -1.0, -500.0),
+             (1.5, 21.5, -1.0, -200.0), (0.0, 1e13, -1.0, 0.0)]
+    return [*zip(a.tolist(), b.tolist(), la.tolist(), slope.tolist()), *extra]
+
+
 @pytest.mark.parametrize("shape", [0.7, 2.0])
 def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     # a stretch's integral comes out bit for bit the same alone and among
@@ -282,18 +296,34 @@ def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     # above its first estimate and its running total moves; the steep ones
     # before it have panels a little above their own first estimates in
     # the same rounds, and their totals must stay where they are
-    rng = np.random.default_rng(3)
-    a = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 10.0, 40))))
-    b = a + rng.uniform(0.05, 2.0, a.size)
-    la, slope = rng.uniform(-5.0, 0.0, a.size), rng.uniform(-30.0, 30.0, a.size)
-    # (a, b, la, slope) of the steep stretches and of the far one
-    extra = [(1.0, 6.0, -1.0, -500.0), (2.0, 12.0, -1.0, -1000.0), (3.0, 8.0, -1.0, -500.0),
-             (1.5, 21.5, -1.0, -200.0), (0.0, 1e13, -1.0, 0.0)]
-    a, b, la, slope = (np.concatenate((column, added)) for column, added in zip((a, b, la, slope), zip(*extra)))
+    a, b, la, slope = zip(*batch_stretches(3))
     law = ChangePointLaw.weibull(shape, 3.0)
     together = law.segment_integrals(a, b, la, la, slope)
     alone = [segment(law, *row) for row in zip(a, b, la, la, slope)]
     assert together == alone
+
+
+def test_weibull_batch_rows_do_not_depend_on_the_laws_of_the_batch():
+    # one batch mixes four laws in runs of shuffled length, as the forward
+    # passes of many histories hand them over, and each stretch comes out
+    # bit for bit as in its own law's batch of one.  The runs hold first
+    # stretches past u_max = scale 2^(1000 / shape), whose end is clamped
+    # there (shape 2: 5.6e150, shape 9: 5.6e33), and one that starts past it
+    from cpb import _weibull
+
+    laws = [(0.7, 3.0), (1.3, 0.5), (2.0, 1.7), (9.0, 2.0)]
+    far = {2.0: [(0.0, 1e200, -1.0, 0.0)], 9.0: [(0.0, 1e40, -1.0, -2.0), (1e35, 1e40, -1.0, 0.0)]}
+    rows = [(law, row) for seed, law in enumerate(laws)
+            for row in batch_stretches(seed) + far.get(law[0], [])]
+    np.random.default_rng(5).shuffle(rows)
+    runs = [(*law, len(list(run))) for law, run in itertools.groupby(law for law, _ in rows)]
+    assert 30 < len(runs) < len(rows)
+    a, b, la, slope = zip(*(row for _, row in rows))
+    together = _weibull.segment_integrals(runs, a, b, la, slope)
+    alone = [segment(ChangePointLaw.weibull(*law), a_i, b_i, la_i, la_i, slope_i)
+             for law, (a_i, b_i, la_i, slope_i) in rows]
+    assert together == alone
+    assert sum(value == -math.inf for value in together) == 1
 
 
 # stretches pinned with their log integrals from a dense 30-digit mpmath

@@ -1,5 +1,6 @@
 """Verification harness: sweeps, searches, ratio arithmetic, grid bridge."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -59,6 +60,28 @@ class TestRemark5:
         assert not remark5_check(10.0, 0.1, 0.1, 0.1, alpha=0.1, gamma=1.0, delta=1.0)
 
 
+def single_instance_report(cfg):
+    """The SweepReport of a continuous sweep from instances drawn and
+    evaluated one at a time, each from its own (seed, index) generator."""
+    from cpb.verify import _evaluate_pair, _sample_continuous_model, _sample_continuous_pair
+
+    margins, violations = [], []
+    for index in range(cfg.instances):
+        rng = np.random.default_rng((cfg.seed, index))
+        model = _sample_continuous_model(cfg, rng)
+        low, high = _sample_continuous_pair(rng)
+        values = _evaluate_pair("continuous", model, low, high)
+        margin = (values["posterior_low"] - values["posterior_high"],
+                  values["intensity_high"] - values["intensity_low"])
+        margins.append(margin)
+        if min(margin) < -cfg.tolerance:
+            violations.append(Witness("continuous", model, low, high, margin=min(margin),
+                                      note="monotonicity violated", **values))
+    post, rise = zip(*margins)
+    return SweepReport("continuous", cfg.instances, tuple(violations),
+                       min(post), max(post), min(rise), max(rise))
+
+
 class TestTheorem1Sweep:
     def test_discrete_small_sweep_clean(self):
         report = theorem1_sweep(SweepConfig(engine="discrete", instances=500, seed=3))
@@ -112,33 +135,62 @@ class TestTheorem1Sweep:
         if engine == "continuous":
             assert serial.violations
 
+    @pytest.mark.parametrize("instances", [1, 63, 64, 65, 200])
+    def test_chunks_match_single_instances(self, instances, monkeypatch):
+        # the sweep draws and evaluates its instances in chunks of 64; its
+        # report must be the one that instances drawn and evaluated one at a
+        # time give, with one worker or two.  A tolerance of -inf makes every
+        # instance a witness, so the report then carries every value, and
+        # each must be what the engines give the witness's own fields
+        for tolerance in (1e-12, -math.inf):
+            cfg = SweepConfig(engine="continuous", instances=instances, seed=7)
+            object.__setattr__(cfg, "tolerance", tolerance)
+            monkeypatch.setenv("THREADS", "1")
+            serial = theorem1_sweep(cfg)
+            assert serial == single_instance_report(cfg)
+            monkeypatch.setenv("THREADS", "2")
+            assert theorem1_sweep(cfg) == serial
+        assert len(serial.violations) == instances
+        for w in serial.violations:
+            assert reevaluate(w) == w
+
     def test_continuous_sweep_quadrature_evaluations(self, monkeypatch):
         # a deterministic cost guard on the weibull rule, counted in integrand
         # evaluations (21 nodes a panel, every round): the first stretch (0, b]
         # is integrated in a variable without the u^(shape - 1) endpoint
-        # singularity, so it stays within 4 Gauss-Kronrod panels
+        # singularity, so it stays within 4 Gauss-Kronrod panels.  A batch
+        # holds the first stretches of a whole chunk of instances, so they are
+        # told apart by their own column constants; identical first stretches
+        # (two empty histories of one instance) are evaluated alike, so their
+        # count is divided by how many of them the batch's first round holds
         from cpb import _weibull
 
-        batch, integrand, batches = _weibull._weibull_batch, _weibull._weibull_log_integrand, []
+        batch, integrand, batches, total = _weibull._weibull_batch, _weibull._weibull_log_integrand, [], [0]
 
         def counting_batch(*args):
-            # one batch per posterior: [first-stretch evaluations, all evaluations]
-            batches.append([0, 0])
+            # per batch: {first-stretch column constants: [stretches, evaluations]}
+            batches.append({})
             return batch(*args)
 
         def counting_integrand(x, offset, mapped, k):
-            # the panels of the first stretch are mapped and start from x = 0
-            batches[-1][0] += x.shape[0] * int(np.count_nonzero(k[0, mapped] == 0.0))
-            batches[-1][1] += x.size
+            # a batch's first round holds one panel of each of its stretches,
+            # and it is the round that finds its dictionary empty
+            first_round, found = not batches[-1], batches[-1]
+            # the panels of a first stretch are mapped and start from x = 0
+            for column in np.flatnonzero(mapped & (k[0] == 0.0)).tolist():
+                count = found.setdefault(tuple(k[:, column].tolist()), [0, 0])
+                count[0] += first_round
+                count[1] += x.shape[0]
+            total[0] += x.size
             return integrand(x, offset, mapped, k)
 
         monkeypatch.setattr(_weibull, "_weibull_batch", counting_batch)
         monkeypatch.setattr(_weibull, "_weibull_log_integrand", counting_integrand)
         monkeypatch.setenv("THREADS", "1")
         theorem1_sweep(SweepConfig(engine="continuous", instances=200, seed=0))
-        first = [n for n, _ in batches]
+        first = [evaluations / stretches for found in batches for stretches, evaluations in found.values()]
         assert first and max(first) <= 4 * 21
-        assert sum(total for _, total in batches) < 12_000
+        assert total[0] < 12_000
 
     def test_exact_and_oracle_engines_agree_on_sweep_instances(self):
         # the instances the sweep draws must get the same verdict from the
