@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import math
 import sys
 from bisect import bisect_right
@@ -392,23 +393,25 @@ def cmd_simulate(config: ModelConfig, args) -> Table:
     if config.history is None:
         raise PreconditionError("simulate needs a [history] section with a horizon")
     if config.kind == "continuous":
-        model, horizon, spec = config.continuous_model(), config.history.horizon, ".17g"
+        model, horizon, spec = config.continuous_model(), config.history.horizon, "%.17g"
 
-        def sample(rng):
-            path = cont.sample_path(model, horizon=horizon, seed=rng)
+        def sample(entropy):
+            path = cont.sample_path(model, horizon=horizon, seed=entropy)
             return path.change_time, path.arrival_times
     else:
-        model, horizon, spec = config.discrete_model(), config.history.horizon_slot, ""
-
-        def sample(rng):
-            return disc.sample_discrete_path(model, horizon, seed=rng)
+        model, horizon, spec = config.discrete_model(), config.history.horizon_slot, "%d"
+        sample = functools.partial(disc.sample_discrete_path, model, horizon)
 
     def blocks():
-        # one CSV text block per path; every cell is a number, so none needs quoting
+        # one CSV text block per path, formatted by one % operation on a row
+        # template repeated per arrival; every cell is a number, so none needs quoting.
+        # The sampler seeds a generator of its own from (seed, pid): none is rewound
         for pid in range(args.paths):
-            change, arrivals = sample(np.random.default_rng((seed, pid)))
+            change, arrivals = sample((seed, pid))
             prefix = f"{pid},{_fmt(change)},"
-            yield prefix + "0,\n" + "".join([f"{prefix}{i},{t:{spec}}\n" for i, t in enumerate(arrivals, 1)])
+            k = len(arrivals)
+            cells = tuple(itertools.chain.from_iterable(zip(range(1, k + 1), arrivals)))
+            yield prefix + "0,\n" + (f"{prefix}%d,{spec}\n" * k) % cells
 
     return Table(["path_id", "change_time", "arrival_index", "arrival_time"], blocks())
 

@@ -256,7 +256,7 @@ def sample_path(
     model: ContinuousModel,
     horizon: float | None = None,
     max_arrivals: int | None = None,
-    seed: int | np.random.Generator = 0,
+    seed: int | tuple[int, ...] | np.random.Generator = 0,
 ) -> PathSample:
     """Simulate one path by inversion.
 
@@ -265,12 +265,19 @@ def sample_path(
     cumulative hazard, whose single breakpoint is the switch time.  A
     repeating-tail schedule never stops on its own, so it requires a
     horizon; a zero-tail schedule halts once its listed counts are used up.
-    The exponentials come in numpy blocks, and a generator passed as
-    ``seed`` ends in the same state as after one ``exponential()`` per step.
+
+    The exponentials come in numpy blocks.  Past the switch and the listed
+    counts the rate is the constant post-change tail, so the rest of each
+    block runs in a plain loop with no rate lookup, with the same sums in
+    the same order as the full step.  ``seed`` is an int, a tuple of ints
+    (numpy seed entropy) or a generator.  A generator passed in ends in the
+    same state as after one ``exponential()`` per step; one made here from
+    the seed is dropped with the path, so it is not rewound.
     """
     if horizon is None and model.rates.tail_mode == TAIL_REPEAT and max_arrivals is None:
         raise PreconditionError("a repeating-tail schedule needs a horizon or max_arrivals bound")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    shared = isinstance(seed, np.random.Generator)
+    rng = seed if shared else np.random.default_rng(seed)
     seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
     rates = model.rates
     pre_rates, post_rates, listed = rates.pre_change, rates.post_change, rates.size
@@ -287,9 +294,24 @@ def sample_path(
     used = 0
     while count < limit:
         if used == len(block):
-            state = rng.bit_generator.state
+            state = rng.bit_generator.state if shared else None
             block = rng.standard_exponential(2 * len(block) or _EXP_BLOCK).tolist()
             used = 0
+        if now >= u and count >= listed and post_tail > 0.0:
+            # past the switch and the listed counts the rate is the constant
+            # post_tail: the block runs with no rate lookup, and the step that
+            # passes the horizon falls through to the full step, which redoes it
+            stop = min(len(block), used + limit - count)
+            for target in block[used:stop]:
+                nxt = now + target / post_tail
+                if nxt > end:
+                    break
+                times.append(nxt)
+                now = nxt
+            used += len(times) - count
+            count = len(times)
+            if used == stop:
+                continue
         target = block[used]
         used += 1
         pre = pre_rates[count] if count < listed else pre_tail
@@ -312,7 +334,7 @@ def sample_path(
         times.append(nxt)
         now = nxt
         count += 1
-    if used < len(block):
+    if shared and used < len(block):
         # the ziggurat takes a variable number of words per value, so rewind
         # and draw again only the values used: a shared generator then ends
         # where one exponential() call per step would leave it

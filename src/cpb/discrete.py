@@ -374,7 +374,7 @@ def brute_force_posterior(model: DiscreteModel, h: DiscreteHistory) -> float:
 
 
 def sample_discrete_path(
-    model: DiscreteModel, horizon: int, seed: int | np.random.Generator = 0
+    model: DiscreteModel, horizon: int, seed: int | tuple[int, ...] | np.random.Generator = 0
 ) -> tuple[int | None, tuple[int, ...]]:
     """Simulate one path of slots 1..horizon.
 

@@ -9,6 +9,7 @@ added, and why windows of different lengths cannot be compared.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -149,10 +150,9 @@ def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
     for _ in range(100):
         size = int(rng.integers(2, MAX_COUNT + 2))
         s_pre = -np.log1p(-rng.uniform(RATE_LOW, RATE_HIGH, size=size))
-        gap = rng.uniform(0.05, 0.4) + np.concatenate(
-            ([0.0], np.cumsum(rng.uniform(0.0, 0.3, size=size - 1)))
-        )
-        s_post = s_pre + gap
+        base = rng.uniform(0.05, 0.4)
+        steps = rng.uniform(0.0, 0.3, size=size - 1).tolist()
+        s_post = s_pre + [base + g for g in itertools.accumulate(steps, initial=0.0)]
         rates = RateSchedule((-np.expm1(-s_pre)).tolist(), (-np.expm1(-s_post)).tolist())
         hazards = rng.uniform(0.02, 0.4, size=int(rng.integers(1, 4))).tolist()
         model = disc.DiscreteModel(rates, ChangePointLaw.discrete_hazard(hazards))
@@ -191,7 +191,7 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
 def _sample_discrete_pair(rng: np.random.Generator):
     n = int(rng.integers(SLOT_LOW, SLOT_HIGH + 1))
     k = int(rng.integers(0, min(MAX_COUNT, n) + 1))
-    slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
+    slots = tuple(sorted((rng.choice(n, size=k, replace=False) + 1).tolist()))
     low = DiscreteHistory(n, slots)
     high = low
     for _ in range(int(rng.geometric(0.25))):

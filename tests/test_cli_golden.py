@@ -67,6 +67,8 @@ CASES = [
     "simulate table.cfg --paths 20 --seed 4",
     "simulate exponential.cfg --paths 20",
     "simulate zero-tail.cfg --paths 30 --seed 6",
+    # paths of over 200 arrivals, past the sampler's block edges at 64 and 192 draws
+    "simulate simulate-long.cfg --paths 2 --seed 11",
     "posterior long-discrete.cfg --engine discrete",
     # every "cannot run on this config" exit: a discrete config where a
     # continuous one is needed, and each command without a [history]

@@ -439,6 +439,14 @@ class TestSamplePath:
         assert a == sample_path(model, horizon=5.0, seed=4)
         assert sample_path(model, horizon=5.0, seed=np.random.default_rng(4)).seed is None
 
+    def test_tuple_seed_draws_like_its_generator(self):
+        # a tuple seeds a generator of its own, which is not rewound: same path
+        model = closed_form_model()
+        for entropy in ((7, 0), (7, 1), (3, 2**40)):
+            path = sample_path(model, horizon=40.0, seed=entropy)
+            assert path == sample_path(model, horizon=40.0, seed=np.random.default_rng(entropy))
+            assert path.seed is None and len(path.arrival_times) > 64
+
     def test_repeat_tail_needs_bound(self):
         with pytest.raises(PreconditionError):
             sample_path(closed_form_model())

@@ -9,6 +9,7 @@ than it uses must hand the surplus back.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -94,15 +95,27 @@ def rate_lists(draw, low, high):
     return tuple(draw(rates)), tuple(draw(rates))
 
 
+# a switch at or near 0: nearly every step runs in the sampler's post-switch tail loop
+EARLY_LAWS = st.sampled_from([ChangePointLaw.point_mass(1e-6), ChangePointLaw.exponential(50.0)])
+# 63-65, 192-193 and 448 sit at the edges of the blocks of 64, 128 and 256 values
+EDGES = st.sampled_from([63, 64, 65, 192, 193, 448])
+
+
 @st.composite
 def continuous_cases(draw):
     pre, post = rate_lists(draw, 0.05, 8.0)
     tail = draw(st.sampled_from([TAIL_REPEAT, TAIL_ZERO]))
-    horizon = draw(st.one_of(st.none(), st.floats(0.01, 40.0)))
-    # 63-65 and 192 sit at the edges of the 64- and 128-value blocks
-    max_arrivals = draw(st.one_of(st.none(), st.integers(0, 70), st.sampled_from([63, 64, 65, 192])))
+    if draw(st.booleans()):
+        law = draw(EARLY_LAWS)
+        # 200-600 arrivals at the tail rate: past the block edges at 64, 192 and 448 draws
+        horizon = draw(st.one_of(st.none(), st.floats(200.0, 600.0).map(lambda n: n / post[-1])))
+        max_arrivals = draw(st.one_of(st.none(), EDGES))
+    else:
+        law = draw(continuous_laws())
+        horizon = draw(st.one_of(st.none(), st.floats(0.01, 40.0)))
+        max_arrivals = draw(st.one_of(st.none(), st.integers(0, 70), EDGES))
     assume(not (tail == TAIL_REPEAT and horizon is None and max_arrivals is None))
-    return ContinuousModel(RateSchedule(pre, post, tail), draw(continuous_laws())), horizon, max_arrivals
+    return ContinuousModel(RateSchedule(pre, post, tail), law), horizon, max_arrivals
 
 
 @st.composite
@@ -115,15 +128,35 @@ def discrete_cases(draw):
     return DiscreteModel(RateSchedule(pre, post), ChangePointLaw.discrete_hazard(values, tail)), horizon
 
 
-@settings(max_examples=150, deadline=None)
-@given(continuous_cases(), st.integers(0, 2**32 - 1))
-def test_continuous_sampler_matches_one_draw_per_step(case, seed):
-    model, horizon, max_arrivals = case
+def assert_continuous_matches_oracle(model, horizon, max_arrivals, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(CALLS):
         path = sample_path(model, horizon=horizon, max_arrivals=max_arrivals, seed=rng)
         assert path == oracle_path(model, horizon, max_arrivals, ref)
     assert rng.random() == ref.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(continuous_cases(), st.integers(0, 2**32 - 1))
+def test_continuous_sampler_matches_one_draw_per_step(case, seed):
+    assert_continuous_matches_oracle(*case, seed)
+
+
+def early_model(tail=TAIL_REPEAT):
+    return ContinuousModel(RateSchedule((1.0, 1.5), (2.0, 3.0), tail), ChangePointLaw.point_mass(1e-6))
+
+
+@pytest.mark.parametrize("model, horizon, max_arrivals", [
+    # the count bound met inside the tail loop, at and next to each block edge
+    *[(early_model(), None, m) for m in (63, 64, 65, 192, 193, 448)],
+    # the horizon met inside the tail loop, after about 100, 300 and 900 arrivals
+    *[(early_model(), h, None) for h in (33.0, 100.0, 300.0)],
+    # a zero tail: the post rate past the listed counts ends the path
+    (early_model(TAIL_ZERO), 50.0, None),
+    (early_model(TAIL_ZERO), None, None),
+])
+def test_tail_loop_edges_match_one_draw_per_step(model, horizon, max_arrivals):
+    assert_continuous_matches_oracle(model, horizon, max_arrivals, 5)
 
 
 @settings(max_examples=150, deadline=None)

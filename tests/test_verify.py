@@ -1,10 +1,13 @@
 """Verification harness: sweeps, searches, ratio arithmetic, grid bridge."""
 
+import itertools
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpb.core import (
     ChangePointLaw,
@@ -16,6 +19,11 @@ from cpb.core import (
 )
 from cpb.continuous import ContinuousModel, intensity
 from cpb.verify import (
+    MAX_COUNT,
+    RATE_HIGH,
+    RATE_LOW,
+    SLOT_HIGH,
+    SLOT_LOW,
     SweepConfig,
     SweepReport,
     Witness,
@@ -80,6 +88,33 @@ def single_instance_report(cfg):
     post, rise = zip(*margins)
     return SweepReport("continuous", cfg.instances, tuple(violations),
                        min(post), max(post), min(rise), max(rise))
+
+
+class TestDiscreteSamplerForms:
+    """The discrete sweep samplers' list forms draw the values, and leave the
+    generator in the state, of the numpy forms they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(SLOT_LOW, SLOT_HIGH), st.data(), st.integers(0, 2**32 - 1))
+    def test_choice_of_a_count_matches_choice_of_the_slots(self, n, data, seed):
+        k = data.draw(st.integers(0, min(MAX_COUNT, n)))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = (rng.choice(n, size=k, replace=False) + 1).tolist()
+        assert new == ref.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, MAX_COUNT + 1), st.integers(0, 2**32 - 1))
+    def test_accumulated_gap_matches_cumsum(self, size, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        s_pre = -np.log1p(-np.random.default_rng(seed + 1).uniform(RATE_LOW, RATE_HIGH, size=size))
+        base = rng.uniform(0.05, 0.4)
+        steps = rng.uniform(0.0, 0.3, size=size - 1).tolist()
+        new = s_pre + [base + g for g in itertools.accumulate(steps, initial=0.0)]
+        old = s_pre + (ref.uniform(0.05, 0.4) + np.concatenate(
+            ([0.0], np.cumsum(ref.uniform(0.0, 0.3, size=size - 1)))))
+        assert new.tolist() == old.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTheorem1Sweep:
