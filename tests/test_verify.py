@@ -91,7 +91,7 @@ def single_instance_report(cfg):
 
 
 class TestDiscreteSamplerForms:
-    """The discrete sweep samplers' list forms draw the values, and leave the
+    """The discrete sweep samplers' cheaper forms draw the values, and leave the
     generator in the state, of the numpy forms they replaced."""
 
     @settings(max_examples=300, deadline=None)
