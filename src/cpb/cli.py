@@ -13,7 +13,9 @@ names the rewritten config file; its table always goes to stdout.  Exit
 codes: 0 success, 1 a verify suite's verdict failed, 2 config parse
 error, 3 precondition violation, 4 I/O error.  ``main(argv)`` can be
 called repeatedly in one process: it builds its argparse parser once, on
-the first call, and reuses it.
+the first call, and reuses it.  Importing this module loads no numpy:
+each function that needs it imports it where it runs, so exponential,
+table and point-mass posteriors and ``transform`` never load it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import continuous as cont
 from . import discrete as disc
@@ -49,6 +51,9 @@ from .core import (
     shift_operator,
     validate_rates,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -95,7 +100,7 @@ _KNOWN_KEYS = {
 
 _PLAIN_SEPARATORS = ", \t"
 _PLAIN_SLOT_BYTES = b"0123456789" + _PLAIN_SEPARATORS.encode()
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = 2**63 - 1
 
 
 def _split_list(raw: str) -> list[str]:
@@ -171,6 +176,8 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
         # reader below
         if (raw.isascii() and raw.strip(_PLAIN_SEPARATORS)
                 and not raw.encode().translate(None, _PLAIN_SLOT_BYTES)):
+            import numpy as np
+
             values = np.fromstring(raw.replace(",", " "), dtype=np.int64, sep=" ")
             if values.max() < _INT64_MAX:
                 return values
@@ -294,7 +301,7 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return format(float(x), ".17g")
 
@@ -385,6 +392,8 @@ def cmd_posterior(config: ModelConfig, args) -> Table:
 
 
 def cmd_simulate(config: ModelConfig, args) -> Table:
+    import numpy as np
+
     seed = args.seed if args.seed is not None else config.seed
     np.random.SeedSequence(seed)  # a bad seed fails here, before any row is written
     if args.paths < 0:
@@ -481,6 +490,8 @@ def _verify_identities(config: ModelConfig, args) -> Table:
     if history.horizon_slot < 2:
         raise PreconditionError(f"identities suite needs a horizon of at least 2 slots to shift "
                                 f"an arrival, got {history.horizon_slot}")
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
     checked = 0
@@ -526,6 +537,8 @@ def _verify_convergence(config: ModelConfig, args) -> Table:
 def _verify_timescale(config: ModelConfig, args) -> Table:
     model, history = _continuous(config, "timescale suite")
     horizon = history.horizon
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     rows = []
 

@@ -39,8 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     ChangePointLaw,
@@ -58,8 +57,10 @@ from .core import (
     survival_from_log_masses,
 )
 from .discrete import DiscreteModel
-from . import _weibull
 from . import discrete as _discrete
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ContinuousModel",
@@ -193,6 +194,8 @@ def _forward_paths(pairs) -> list[list[tuple[float, float, float]]]:
     weibull = [(model.law, stretches) for (model, _), (stretches, _) in zip(pairs, built)
                if isinstance(model.law, Weibull)]
     if weibull:
+        from . import _weibull
+
         a, b, la, _, slope = zip(*itertools.chain.from_iterable(stretches for _, stretches in weibull))
         laws = [(law.shape, law.scale, len(stretches)) for law, stretches in weibull]
         flat = iter(_weibull.segment_integrals(laws, a, b, la, slope))
@@ -276,6 +279,8 @@ def sample_path(
     """
     if horizon is None and model.rates.tail_mode == TAIL_REPEAT and max_arrivals is None:
         raise PreconditionError("a repeating-tail schedule needs a horizon or max_arrivals bound")
+    import numpy as np
+
     shared = isinstance(seed, np.random.Generator)
     rng = seed if shared else np.random.default_rng(seed)
     seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
@@ -399,6 +404,8 @@ def discretize(
         cell = -math.expm1(-law.rate / m)
         disc_law = ChangePointLaw.discrete_hazard((cell,), tail=cell)
     else:
+        import numpy as np
+
         blocks = []
         lo, size = 0, 64
         while lo < n:

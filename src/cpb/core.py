@@ -15,11 +15,10 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
-from . import _weibull
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TAIL_REPEAT",
@@ -188,10 +187,10 @@ class ChangePointLaw:
     kind: ClassVar[str] = "continuous"
 
     def __post_init__(self):
-        # the default rule: every parameter is a positive number
+        # the default rule: every parameter is a positive finite number
         for name, value in self.params().items():
-            if value <= 0.0:
-                raise ValueError(f"{self.family} {name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self.family} {name} must be positive and finite, got {value}")
 
     def params(self) -> dict:
         """The law's parameters by field name, in declaration order."""
@@ -206,6 +205,8 @@ class ChangePointLaw:
         return list(map(self._segment, a, b, la, lb, slope))
 
     def cell_hazards(self, edges) -> np.ndarray:
+        import numpy as np
+
         # a cell past a survival of 0 has no conditional probability: nan
         sf = list(map(self.sf, np.asarray(edges).tolist()))
         return np.array([(p - s) / p if p > 0.0 else math.nan for p, s in zip(sf, sf[1:])])
@@ -280,6 +281,8 @@ class Weibull(ChangePointLaw):
         # mass where (sf_prev - sf) / sf_prev rounds it to 0.0 or 1.0.  A
         # power past the float range is inf, as in log_sf, and its cell
         # gets 1.0; inf - inf gives nan only in later cells
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             return -np.expm1(-np.diff((np.asarray(edges) / self.scale) ** self.shape))
 
@@ -287,6 +290,8 @@ class Weibull(ChangePointLaw):
         return Weibull(self.shape, self.scale * factor)
 
     def segment_integrals(self, a, b, la, lb, slope):
+        from . import _weibull
+
         return _weibull.segment_integrals([(self.shape, self.scale, len(a))], a, b, la, slope)
 
 
@@ -337,6 +342,8 @@ class Table(ChangePointLaw):
                 raise ValueError(f"table values must be nondecreasing, got {g0} then {g1}")
         if pts[-1][1] != 1.0:
             raise ValueError("table law must reach probability 1 at its last knot")
+        if pts[-1][0] == math.inf:
+            raise ValueError("table times must be finite, got inf")
         object.__setattr__(self, "knots", pts)
 
     def _piece(self, x: float):
@@ -402,6 +409,8 @@ class Hazard(ChangePointLaw):
     kind = "discrete"
 
     def __post_init__(self):
+        import numpy as np
+
         if isinstance(self.values, np.ndarray):
             values = self.values.astype(float, copy=False)
             vals = tuple(values.tolist())
@@ -505,7 +514,9 @@ class History:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         prev = 0.0
         for i, t in enumerate(self.arrivals):
-            if t <= prev:
+            if not t > prev:
+                if math.isnan(t):
+                    raise ValueError(f"arrivals must be numbers, got {t} at index {i}")
                 raise ValueError(f"arrivals must strictly increase from 0, got {t} at index {i}")
             if t > self.horizon:
                 raise ValueError(f"arrival {t} lies beyond the horizon {self.horizon}")
@@ -535,6 +546,8 @@ class DiscreteHistory:
     _array = None
 
     def __post_init__(self):
+        import numpy as np
+
         array = self.arrival_slots
         if not (isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iu"
                 and np.can_cast(array.dtype, np.intp)):
@@ -583,6 +596,8 @@ class DiscreteHistory:
     def _slot_array(self) -> np.ndarray:
         """The arrival slots as a read-only intp array."""
         if self._array is None:
+            import numpy as np
+
             array = np.array(self.arrival_slots, dtype=np.intp)
             array.flags.writeable = False
             object.__setattr__(self, "_array", array)

@@ -42,8 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     ChangePointLaw,
@@ -70,6 +69,9 @@ __all__ = [
     "brute_force_posterior",
     "sample_discrete_path",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ORACLE_SLOT_LIMIT = 16
 # from this many slots on, _log_weights runs its sums in numpy (_array_pass)
@@ -161,6 +163,8 @@ def _log_weights(model: DiscreteModel, h: DiscreteHistory) -> tuple[list[float] 
     listed = law.values[:n]
     log_tail_haz, log_tail_stay = math.log(law.tail), math.log1p(-law.tail)
     if n >= _ARRAY_PASS_SLOTS:
+        import numpy as np
+
         # math's logs, which numpy's do not match bit for bit, straight into arrays
         log_haz = np.fromiter(map(math.log, listed), float, len(listed))
         log_stay = np.fromiter(map(math.log1p, map(operator.neg, listed)), float, len(listed))
@@ -205,6 +209,8 @@ def _array_pass(factors, log_haz, log_stay, n: int, slots: np.ndarray) -> tuple[
     loop's does, so the sums, and the weights taken from them in the same
     order, keep the loop's bits.
     """
+    import numpy as np
+
     hit = np.zeros(n, dtype=np.intp)
     hit[slots - 1] = 1
     # each slot's entry in the flat factor table: its count of earlier
@@ -234,7 +240,7 @@ def _array_pass(factors, log_haz, log_stay, n: int, slots: np.ndarray) -> tuple[
 
 
 def _logsumexp(values: list[float] | np.ndarray) -> float:
-    if isinstance(values, np.ndarray):
+    if not isinstance(values, list):
         m = float(values.max(initial=-math.inf))
         if m == -math.inf:
             return -math.inf
@@ -387,6 +393,8 @@ def sample_discrete_path(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    import numpy as np
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     law, rates = model.law, model.rates
 

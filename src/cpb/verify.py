@@ -13,8 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import continuous as cont
 from . import discrete as disc
@@ -45,6 +44,9 @@ __all__ = [
     "catania_bridge_check",
     "reevaluate",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Sweep sampler ranges: per-slot probabilities and slots (discrete engine),
@@ -81,8 +83,8 @@ class SweepConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
     losses never shrinks as the count grows", so sampling a positive
     nondecreasing gap sequence satisfies it by construction.
     """
+    import numpy as np
+
     for _ in range(100):
         size = int(rng.integers(2, MAX_COUNT + 2))
         s_pre = -np.log1p(-rng.uniform(RATE_LOW, RATE_HIGH, size=size))
@@ -173,7 +177,7 @@ def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont
         size = int(rng.integers(2, MAX_COUNT + 2))
         pre = rng.uniform(CONT_RATE_LOW, CONT_RATE_HIGH, size=size)
         if cfg.require_catania:
-            gaps = np.cumsum(rng.uniform(0.02, 0.8, size=size))
+            gaps = rng.uniform(0.02, 0.8, size=size).cumsum()
         else:
             gaps = rng.uniform(0.0, CONT_RATE_HIGH, size=size)
             gaps[rng.random(size) < 0.15] = 0.0
@@ -202,6 +206,8 @@ def _sample_discrete_pair(rng: np.random.Generator):
 
 
 def _sample_continuous_pair(rng: np.random.Generator):
+    import numpy as np
+
     t = rng.uniform(HORIZON_LOW, HORIZON_HIGH)
     k = int(rng.integers(0, MAX_COUNT + 1))
     a = np.sort(rng.uniform(0.0, t, size=k))
@@ -217,6 +223,8 @@ _CHUNK = 64  # the instances a sweep draws and evaluates together: one pool task
 def _sweep_chunk(cfg: SweepConfig, start: int):
     """(posterior margin, intensity margin, witness or None) of the instances
     start, start + 1, ... of one chunk, evaluated together."""
+    import numpy as np
+
     drawn = []
     for index in range(start, min(start + _CHUNK, cfg.instances)):
         rng = np.random.default_rng((cfg.seed, index))
@@ -292,6 +300,8 @@ def added_arrival_search(model: cont.ContinuousModel, t_max: float = 5.0, step: 
 
     Returns (margin, t, t1, intensity_one, intensity_empty).
     """
+    import numpy as np
+
     best = (math.inf, 0.0, 0.0, 0.0, 0.0)
 
     def scan(ts, t1_grid):

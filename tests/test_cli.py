@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import json
 import math
 import subprocess
 import sys
@@ -791,14 +792,16 @@ class TestLawFamilies:
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is most of the start-up time; only the weibull law needs it.  The
-        # process pool is loaded only by a sweep that runs on more than one worker.
+        # scipy and numpy are most of the start-up time: no import of the
+        # package loads them.  The process pool is loaded only by a sweep that
+        # runs on more than one worker.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import cpb.cli; "
-                "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+                "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules, "
+                "'numpy' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                                 check=True, timeout=120)
-        assert result.stdout.strip() == "False False"
+        assert result.stdout.strip() == "False False False"
 
     def test_weibull_posterior_leaves_scipy_unloaded(self):
         # the weibull segment integral is the package's own rule
@@ -808,6 +811,42 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code, src, str(CFG / "weibull.cfg")],
                                 capture_output=True, text=True, check=True, timeout=120)
         assert result.stdout.splitlines()[-1] == "0 False"
+
+    @staticmethod
+    def run_fresh(body: str) -> list[str]:
+        """The stdout lines of body, run in a new interpreter in tests/golden/cfg
+        after `from cpb import cli`, with its output rows sent to a buffer."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import io, sys; from contextlib import redirect_stdout; sys.path.insert(0, sys.argv[1]); "
+                "from cpb import cli\n" + body)
+        result = subprocess.run([sys.executable, "-c", code, src], cwd=CFG, capture_output=True,
+                                text=True, check=True, timeout=120)
+        return result.stdout.splitlines()
+
+    def test_closed_form_commands_leave_numpy_unloaded(self):
+        # exponential, table and point-mass posteriors and the clock transform
+        # are pure Python: their processes never pay for numpy's import
+        runs = [["posterior", c] for c in ("readme.cfg", "table.cfg", "point-mass.cfg")]
+        runs.append(["transform", "readme.cfg", "--regularize"])
+        body = (f"for argv in {runs!r}:\n"
+                "    with redirect_stdout(io.StringIO()):\n"
+                "        code = cli.main(argv)\n"
+                "    print(code, 'numpy' in sys.modules)")
+        assert self.run_fresh(body) == ["0 False"] * len(runs)
+
+    @pytest.mark.parametrize("command", ["posterior weibull.cfg", "posterior hazard.cfg --engine discrete"])
+    def test_numpy_commands_load_it_at_first_use(self, command):
+        # the weibull rule and the discrete engine import numpy when they
+        # run, and print their recorded bytes
+        body = ("out = io.StringIO()\n"
+                "with redirect_stdout(out):\n"
+                f"    code = cli.main({command.split()!r})\n"
+                "print(code, 'numpy' in sys.modules)\n"
+                "print(out.getvalue(), end='')")
+        status, *rows = self.run_fresh(body)
+        assert status == "0 True"
+        recorded = json.loads((CFG.parent / "cli.json").read_text())[command]
+        assert rows == recorded["stdout"].splitlines()
 
 
 class TestWitnessSerialization:

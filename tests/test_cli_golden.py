@@ -120,6 +120,12 @@ CASES = [
     "posterior zero-tail-overrun.cfg",
     "posterior hazard.cfg --engine oracle",
     "posterior post-above-one.cfg --engine discrete",
+    # exit 2 for a law parameter or an arrival that is no finite number
+    "posterior nan-rate.cfg",
+    "posterior inf-shape.cfg",
+    "posterior inf-location.cfg",
+    "posterior inf-knot.cfg",
+    "posterior nan-arrival.cfg",
 ]
 
 

@@ -110,11 +110,29 @@ class TestChangePointLaw:
         assert got[1] == -math.inf
         assert got[::2] == [segment(w, 0.0, 0.5, -1.0, 0.0, 1.0), segment(w, 1.0, 2.0, -2.0, 0.0, 1.0)]
 
+    @pytest.mark.parametrize("make, name", [
+        (ChangePointLaw.exponential, "exponential rate"),
+        (lambda v: ChangePointLaw.weibull(v, 2.0), "weibull shape"),
+        (lambda v: ChangePointLaw.weibull(1.5, v), "weibull scale"),
+        (ChangePointLaw.point_mass, "point-mass location"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_parameter_must_be_positive_and_finite(self, make, name, value):
+        # a nan once gave nan posteriors, and an infinite weibull shape an
+        # OverflowError deep in the segment integral
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            make(value)
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             ChangePointLaw.table([(1.0, 0.5), (2.0, 0.4), (3.0, 1.0)])  # decreasing value
         with pytest.raises(ValueError):
             ChangePointLaw.table([(1.0, 0.5), (2.0, 0.9)])  # never reaches 1
+        # a last knot at inf once gave a survival of nan past the first knot
+        with pytest.raises(ValueError, match="^table times must be finite, got inf$"):
+            ChangePointLaw.table([(1.0, 0.5), (math.inf, 1.0)])
+        with pytest.raises(ValueError, match="^table times must strictly increase, got 1.0 then nan$"):
+            ChangePointLaw.table([(1.0, 0.5), (math.nan, 1.0)])
         law = ChangePointLaw.table([(1.0, 0.25), (3.0, 1.0)])
         assert law.cdf(0.5) == pytest.approx(0.125)  # implicit (0, 0) start knot
         assert law.cdf(2.0) == pytest.approx(0.625)
@@ -390,6 +408,16 @@ class TestHistories:
             History(5.0, (0.0, 1.0))
         with pytest.raises(ValueError):
             History(5.0, (1.0, 6.0))
+
+    @pytest.mark.parametrize("arrivals, message", [
+        ((1.0, math.nan), "arrivals must be numbers, got nan at index 1"),
+        ((math.nan,), "arrivals must be numbers, got nan at index 0"),
+        ((1.0, math.inf), "arrival inf lies beyond the horizon 5.0"),
+    ])
+    def test_history_refuses_non_finite_arrivals(self, arrivals, message):
+        # a nan compares false both ways, so it once passed the order checks
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            History(5.0, arrivals)
 
     def test_discrete_history_validation(self):
         DiscreteHistory(6, (1, 3, 6))

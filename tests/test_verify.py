@@ -3,12 +3,14 @@
 import itertools
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpb import cli
 from cpb.core import (
     ChangePointLaw,
     History,
@@ -148,6 +150,21 @@ class TestTheorem1Sweep:
             again = reevaluate(w)
             assert again.posterior_high == pytest.approx(w.posterior_high, rel=1e-10)
             assert again.posterior_low == pytest.approx(w.posterior_low, rel=1e-10)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, tolerance):
+        # against a nan tolerance no margin could fail, so the sweep passed anything
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            SweepConfig(engine="continuous", tolerance=tolerance)
+
+    def test_nan_tolerance_exits_before_any_row(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parent / "golden" / "cfg" / "readme.cfg"
+        path = tmp_path / "nan-tolerance.cfg"
+        path.write_text(cfg.read_text().replace("tolerance = 1e-9", "tolerance = nan"))
+        assert cli.main(["verify", str(path), "--suite", "theorem1"]) == cli.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "precondition error: tolerance must be positive, got nan\n"
 
     def test_equal_rate_pairs_have_zero_margin(self):
         # histories equal by construction when no shift applies: margins 0
