@@ -21,7 +21,6 @@ from .core import (
     RateSchedule,
     SearchFailureError,
     history_dominates,
-    shift_chain,
     shift_operator,
     validate_rates,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "TimeScale",
     "history_dominates",
     "intensity_path",
-    "shift_chain",
     "shift_operator",
     "validate_rates",
 ]

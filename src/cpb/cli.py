@@ -487,6 +487,7 @@ def _verify_identities(config: ModelConfig, args) -> Table:
     model, history = _as_discrete(config, "identities suite", args.m)
     if config.instances < 1:
         raise PreconditionError("instances must be >= 1")
+    verify._check_tolerance(config.tolerance)
     if history.horizon_slot < 2:
         raise PreconditionError(f"identities suite needs a horizon of at least 2 slots to shift "
                                 f"an arrival, got {history.horizon_slot}")

@@ -39,7 +39,6 @@ __all__ = [
     "history_dominates",
     "validate_rates",
     "shift_operator",
-    "shift_chain",
 ]
 
 # Tail behaviour of a finite rate list: repeat the last entry forever, or
@@ -752,23 +751,3 @@ def shift_operator(h: DiscreteHistory, i: int) -> DiscreteHistory:
         slots[k - 1] += 1
         return DiscreteHistory(h.horizon_slot, tuple(slots))
     return h
-
-
-def shift_chain(h_from: DiscreteHistory, h_to: DiscreteHistory) -> list[int]:
-    """A sequence of shift indices carrying h_from onto h_to.
-
-    Requires h_to to dominate h_from.  Works right to left: the last
-    arrival is walked to its target first, which guarantees each single
-    shift stays admissible.  Replaying the returned indices through
-    shift_operator reproduces h_to exactly.
-    """
-    if not history_dominates(h_to, h_from):
-        raise IncomparableHistoriesError("target history does not dominate the source")
-    chain: list[int] = []
-    current = list(h_from.arrival_slots)
-    target = h_to.arrival_slots
-    for i in range(h_from.count, 0, -1):
-        while current[i - 1] < target[i - 1]:
-            current[i - 1] += 1
-            chain.append(i)
-    return chain

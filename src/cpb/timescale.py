@@ -6,8 +6,9 @@ increasing; each call reads it off one knot table per history or path.
 Mapping a path through it multiplies the k-th interarrival by
 gamma_{k-1}, and the model stays in the same family with every rate
 divided by the speed active at its count.  Choosing the speeds
-proportional to the rate gaps makes the transformed gaps strictly
-increasing, which is what the monotonicity machinery needs.
+proportional to the rate gaps, scaled by a strictly decreasing profile,
+makes the transformed gaps strictly increasing, which is what the
+monotonicity machinery needs.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ __all__ = [
     "TimeScale",
     "time_map",
     "path_clock",
-    "inverse_time_map",
     "transform_path",
     "transform_rates",
     "regularizing_gammas",
-    "default_speed_profile",
 ]
 
 
@@ -83,17 +82,6 @@ def path_clock(scale: TimeScale, path: PathSample, t: float) -> float:
     return _clock(scale, path.arrival_times, _knots(scale, path.arrival_times), t)
 
 
-def inverse_time_map(scale: TimeScale, h: History, s: float) -> float:
-    """Original time whose rescaled clock reading is s."""
-    knots = _knots(scale, h.arrivals)
-    top = _clock(scale, h.arrivals, knots, h.horizon)
-    if not 0.0 <= s <= top:
-        raise ValueError(f"clock value {s} outside [0, {top}]")
-    idx = bisect_right(knots, s) - 1
-    base_t = 0.0 if idx == 0 else h.arrivals[idx - 1]
-    return base_t + (s - knots[idx]) / scale.gamma(idx)
-
-
 def transform_path(scale: TimeScale, path: PathSample) -> PathSample:
     """Push a simulated path through the rescaled clock.
 
@@ -114,38 +102,21 @@ def transform_rates(scale: TimeScale, rates: RateSchedule) -> RateSchedule:
     return RateSchedule(pre, post, rates.tail_mode)
 
 
-def default_speed_profile(length: int) -> tuple[float, ...]:
-    """Strictly decreasing weights 1/(1 + k/(length+1)) with positive limit."""
-    if length < 1:
-        raise ValueError(f"profile length must be >= 1, got {length}")
-    return tuple(1.0 / (1.0 + k / (length + 1)) for k in range(length))
-
-
-def regularizing_gammas(rates: RateSchedule, c=None) -> TimeScale:
+def regularizing_gammas(rates: RateSchedule) -> TimeScale:
     """Clock speeds that make the transformed rate gaps strictly increase.
 
     Requires the post-change rate to dominate strictly at every listed
-    count.  Speed k is c_k times the gap at count k over the gap at count
-    zero; the transformed gap then equals gap(0)/c_k, strictly increasing
-    whenever the weights c strictly decrease.  Weights must start at 1 and
-    never increase; ties are accepted but leave the corresponding
-    transformed gaps tied, which the condition report will flag.
+    count.  Speed k is the gap at count k over the gap at count zero,
+    times the profile 1/(1 + k/(size + 1)), which strictly decreases
+    towards a positive limit; the transformed gap at count k is then
+    gap(0) * (1 + k/(size + 1)), strictly increasing in k.
     """
     report = validate_rates(rates)
     if not report.assu_strict:
         raise PreconditionError("regularising speeds need strictly dominating post-change rates")
     size = rates.size
-    weights = tuple(float(x) for x in c) if c is not None else default_speed_profile(size)
-    if len(weights) != size:
-        raise ValueError(f"need {size} weights, got {len(weights)}")
-    if weights[0] != 1.0:
-        raise ValueError(f"first weight must be 1, got {weights[0]}")
-    if any(w <= 0.0 for w in weights):
-        raise ValueError("weights must stay strictly positive")
-    if any(b > a for a, b in zip(weights, weights[1:])):
-        raise ValueError("weights must never increase")
     gap0 = rates.post(0) - rates.pre(0)
     gammas = tuple(
-        weights[k] * (rates.post(k) - rates.pre(k)) / gap0 for k in range(size)
+        1.0 / (1.0 + k / (size + 1)) * (rates.post(k) - rates.pre(k)) / gap0 for k in range(size)
     )
     return TimeScale(gammas)

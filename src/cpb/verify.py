@@ -3,8 +3,9 @@
 The monotonicity sweeps draw admissible models, build comparable history
 pairs by construction (never by rejection), and check that later arrivals
 push the posterior survival down and the intensity up.  The searches
-reproduce the boundary phenomena: what happens when an extra arrival is
-added, and why windows of different lengths cannot be compared.
+reproduce a boundary phenomenon: an extra arrival can lower the intensity.
+Why windows of different lengths cannot be compared is shown in the tests
+(``TestIntervalMismatch`` in tests/test_verify.py).
 """
 
 from __future__ import annotations
@@ -33,15 +34,10 @@ __all__ = [
     "SweepConfig",
     "Witness",
     "SweepReport",
-    "CataniaBridgeRow",
-    "CataniaBridgeReport",
     "theorem1_sweep",
     "counterexample_added_arrival",
     "added_arrival_witness",
     "added_arrival_search",
-    "interval_mismatch_examples",
-    "remark5_check",
-    "catania_bridge_check",
     "reevaluate",
 ]
 
@@ -83,8 +79,16 @@ class SweepConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        _check_tolerance(self.tolerance)
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is not finite and above 0: every comparison
+    with nan is false, and no margin or error exceeds inf."""
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if tolerance == math.inf:
+        raise ValueError("tolerance must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -361,117 +365,3 @@ def added_arrival_witness(model: cont.ContinuousModel, t_max: float = 5.0, step:
         note="arrival counts differ (0 vs 1), so the comparable-history order does not apply",
         **_evaluate_pair("continuous", model, h_low, h_high),
     )
-
-
-def interval_mismatch_examples() -> tuple[Witness, Witness]:
-    """Two no-arrival scenarios where window length pushes belief opposite ways.
-
-    The first law concentrates early switch mass and pairs with a much
-    larger post-change rate, so a longer silent window makes "no switch
-    yet" more credible.  The second uses a memoryless law with nearly
-    equal rates, so the silent evidence is weak and prior decay wins.
-    Both directions are verified strictly before being returned.
-    """
-    h_short, h_long = History(1.0), History(3.0)
-
-    def witness(model, direction: float, note: str, failure: str) -> Witness:
-        # direction +1: the longer window must raise survival; -1: lower it
-        values = _evaluate_pair("continuous", model, h_short, h_long)
-        margin = direction * (values["posterior_high"] - values["posterior_low"])
-        if not margin > 0.0:
-            raise SearchFailureError(failure)
-        return Witness("continuous", model, h_short, h_long, margin=margin, note=note, **values)
-
-    law_a = ChangePointLaw.table([(0.05, 0.0), (0.1, 0.5), (99.0, 0.5), (100.0, 1.0)])
-    law_b = ChangePointLaw.exponential(1.0)
-    return (
-        witness(cont.ContinuousModel(RateSchedule((0.05,), (8.0,)), law_a), 1.0,
-                "longer silence raises survival belief",
-                "early-mass scenario did not raise survival belief"),
-        witness(cont.ContinuousModel(RateSchedule((1.0,), (1.2,)), law_b), -1.0,
-                "longer silence lowers survival belief",
-                "slow-hazard scenario did not lower survival belief"),
-    )
-
-
-def remark5_check(
-    A: float, B: float, C: float, D: float, alpha: float, gamma: float, delta: float
-) -> bool:
-    """Compare the plain ratio against its reweighted counterpart.
-
-    With all constants positive and alpha/gamma >= 1, delta/gamma >= 1,
-    C/(A+B+C+D) >= C*gamma/(A*alpha + B*gamma + C*gamma + D*delta) always
-    holds; outside the precondition the returned comparison carries no
-    guarantee.
-    """
-    theta = C / (A + B + C + D)
-    theta_prime = C * gamma / (A * alpha + B * gamma + C * gamma + D * delta)
-    return theta >= theta_prime
-
-
-# -- grid bridge for the gap conditions ----------------------------------------
-
-
-@dataclass(frozen=True)
-class CataniaBridgeRow:
-    m: int
-    admissible: bool
-    ser_holds: bool | None
-    min_margin: float | None
-    borderline: bool
-
-
-@dataclass(frozen=True)
-class CataniaBridgeReport:
-    catania_holds: bool
-    rows: tuple[CataniaBridgeRow, ...]
-
-    @property
-    def least_m(self) -> int | None:
-        for row in self.rows:
-            if row.admissible and row.ser_holds:
-                return row.m
-        return None
-
-
-def catania_bridge_check(rates: RateSchedule, m_list) -> CataniaBridgeReport:
-    """Check that strictly increasing rate gaps survive slot discretisation.
-
-    For each grid factor, divides the rates by m and evaluates the
-    survival-odds condition of the discrete engine; with strictly
-    increasing gaps it must hold for every sufficiently large factor.  A
-    row is flagged borderline when the worst margin is within one squared
-    cell probability of zero, which is where schedules with tied gaps sit.
-    A factor that is not an integer >= 1 raises PreconditionError before
-    any row.
-    """
-    m_list = [cont._grid_factor(m) for m in m_list]
-    base = validate_rates(rates)
-    if not base.assu_strict:
-        raise PreconditionError("bridge check needs strictly dominating post-change rates")
-    bound = rates.size + 1
-    rows: list[CataniaBridgeRow] = []
-    for m in sorted(m_list):
-        if rates.max_rate() / m >= 1.0:
-            rows.append(
-                CataniaBridgeRow(m=m, admissible=False, ser_holds=None, min_margin=None, borderline=False)
-            )
-            continue
-        scaled = rates.scaled(1.0 / m)
-        margins = []
-        for k in range(1, bound + 1):
-            num = (1.0 - scaled.post(k - 1)) * (1.0 - scaled.pre(k))
-            den = (1.0 - scaled.pre(k - 1)) * (1.0 - scaled.post(k))
-            margins.append(num / den - 1.0)
-        min_margin = min(margins)
-        cell = (rates.max_rate() / m) ** 2
-        rows.append(
-            CataniaBridgeRow(
-                m=m,
-                admissible=True,
-                ser_holds=min_margin >= 0.0,
-                min_margin=min_margin,
-                borderline=abs(min_margin) <= cell,
-            )
-        )
-    return CataniaBridgeReport(catania_holds=base.catania, rows=tuple(rows))

@@ -126,6 +126,11 @@ CASES = [
     "posterior inf-location.cfg",
     "posterior inf-knot.cfg",
     "posterior nan-arrival.cfg",
+    # exit 3 for a suite tolerance that is not finite and above 0: against nan
+    # every error check fails, and against inf no margin can
+    "verify nan-tolerance.cfg --suite identities",
+    "verify inf-tolerance.cfg --suite identities",
+    "verify inf-tolerance.cfg --suite theorem1",
 ]
 
 

@@ -727,7 +727,7 @@ class TestConvergence:
     @pytest.mark.parametrize("m", [0, -3])
     def test_factor_below_one_is_rejected(self, m):
         # no resolution at all, not an inadmissible row
-        with pytest.raises(PreconditionError, match=f"got {m}"):
+        with pytest.raises(PreconditionError, match=f"^grid factor must be >= 1, got {m}$"):
             convergence_study(closed_form_model(), History(1.0, (0.5,)), [64, m])
 
     @pytest.mark.parametrize("m", [2.5, 16.0])

@@ -19,8 +19,6 @@ from cpb.core import (
 from cpb.continuous import ContinuousModel, PathSample, intensity, posterior_survival, sample_path
 from cpb.timescale import (
     TimeScale,
-    default_speed_profile,
-    inverse_time_map,
     path_clock,
     regularizing_gammas,
     time_map,
@@ -66,41 +64,6 @@ class TestTimeMap:
     def test_range_error(self):
         with pytest.raises(ValueError):
             time_map(TimeScale((1.0,)), History(2.0), 2.5)
-
-
-class TestInverseTimeMap:
-    def test_identity_speed(self):
-        scale = TimeScale((1.0,))
-        h = History(3.0, (1.0,))
-        assert inverse_time_map(scale, h, 1.7) == pytest.approx(1.7, rel=1e-15)
-
-    def test_knots_map_back_exactly(self):
-        scale = TimeScale((2.0, 0.25, 3.0))
-        h = History(4.0, (0.5, 2.0, 3.5))
-        for t in h.arrivals:
-            s = time_map(scale, h, t)
-            assert inverse_time_map(scale, h, s) == pytest.approx(t, abs=1e-14)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_round_trip(self, data):
-        speeds = data.draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4))
-        scale = TimeScale(tuple(speeds))
-        horizon = data.draw(st.floats(0.5, 10.0))
-        k = data.draw(st.integers(0, 3))
-        arr = sorted(set(data.draw(
-            st.lists(st.floats(0.01, horizon - 0.01), min_size=k, max_size=k)
-        )))
-        h = History(horizon, tuple(arr))
-        t = data.draw(st.floats(0.0, horizon))
-        s = time_map(scale, h, t)
-        assert inverse_time_map(scale, h, s) == pytest.approx(t, abs=1e-10)
-
-    def test_range_error(self):
-        scale = TimeScale((2.0,))
-        h = History(1.0)
-        with pytest.raises(ValueError):
-            inverse_time_map(scale, h, 2.5)
 
 
 class TestTransformPath:
@@ -177,12 +140,7 @@ class TestOneKnotTable:
         for t in (*times, *(horizon * q for q in queries)):
             assert time_map(scale, h, t) == _prefix_clock(scale, times, t)
             assert path_clock(scale, path, t) == _prefix_clock(scale, times, t)
-        top = _prefix_clock(scale, times, horizon)
         knots = _prefix_knots(scale, times)
-        for s in (*knots, *(top * q for q in queries)):
-            idx = bisect_right(knots, s) - 1
-            base_t = 0.0 if idx == 0 else times[idx - 1]
-            assert inverse_time_map(scale, h, s) == base_t + (s - knots[idx]) / scale.gamma(idx)
         mapped = transform_path(scale, path)
         expected_change = _prefix_clock(scale, times, path.change_time) if change != math.inf else math.inf
         assert mapped == PathSample(expected_change, tuple(knots[1:]), seed=1)
@@ -219,10 +177,10 @@ class TestTransformRates:
 
 class TestRegularizingGammas:
     def test_constant_gaps_reduce_to_weights(self):
+        # the speeds are the gap ratios times the profile's weights 1/(1 + k/4)
         rates = RateSchedule((1.0, 2.0, 3.0), (2.0, 3.0, 4.0))  # gaps all 1
-        weights = (1.0, 0.8, 0.5)
-        scale = regularizing_gammas(rates, weights)
-        assert scale.gammas == pytest.approx(weights)
+        scale = regularizing_gammas(rates)
+        assert scale.gammas == pytest.approx((1.0, 0.8, 2.0 / 3.0))
         out = transform_rates(scale, rates)
         gaps = [out.post(k) - out.pre(k) for k in range(3)]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
@@ -230,8 +188,8 @@ class TestRegularizingGammas:
 
     def test_two_level_example(self):
         rates = RateSchedule((1.0, 1.0), (2.0, 100.0))
-        scale = regularizing_gammas(rates, (1.0, 0.5))
-        assert scale.gammas == pytest.approx((1.0, 49.5))
+        scale = regularizing_gammas(rates)
+        assert scale.gammas == pytest.approx((1.0, 74.25))  # 99 * 1/(1 + 1/3)
         assert validate_rates(transform_rates(scale, rates)).catania
 
     def test_default_profile(self):
@@ -239,19 +197,6 @@ class TestRegularizingGammas:
         scale = regularizing_gammas(rates)
         out = transform_rates(scale, rates)
         assert validate_rates(out).catania
-        profile = default_speed_profile(3)
-        assert all(b < a for a, b in zip(profile, profile[1:]))
-
-    def test_tied_weights_accepted_but_flagged(self):
-        rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
-        scale = regularizing_gammas(rates, (1.0, 1.0))
-        out = transform_rates(scale, rates)
-        assert not validate_rates(out).catania  # tied transformed gaps
-
-    def test_increasing_weights_rejected(self):
-        rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
-        with pytest.raises(ValueError):
-            regularizing_gammas(rates, (1.0, 1.2))
 
     def test_requires_strict_dominance(self):
         with pytest.raises(PreconditionError):

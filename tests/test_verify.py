@@ -1,4 +1,4 @@
-"""Verification harness: sweeps, searches, ratio arithmetic, grid bridge."""
+"""Verification harness: sweeps and searches."""
 
 import itertools
 import math
@@ -18,8 +18,9 @@ from cpb.core import (
     RateSchedule,
     SearchFailureError,
     history_dominates,
+    validate_rates,
 )
-from cpb.continuous import ContinuousModel, intensity
+from cpb.continuous import ContinuousModel, convergence_study, discretize, intensity
 from cpb.verify import (
     MAX_COUNT,
     RATE_HIGH,
@@ -29,19 +30,18 @@ from cpb.verify import (
     SweepConfig,
     SweepReport,
     Witness,
+    _evaluate_pair,
     added_arrival_search,
-    catania_bridge_check,
     counterexample_added_arrival,
-    interval_mismatch_examples,
     reevaluate,
-    remark5_check,
     theorem1_sweep,
 )
 
 
 class TestRemark5:
     def test_equal_multipliers_give_equality(self):
-        assert remark5_check(1.0, 2.0, 3.0, 4.0, alpha=2.0, gamma=2.0, delta=2.0)
+        A, B, C, D, gamma = 1.0, 2.0, 3.0, 4.0, 2.0
+        assert C / (A + B + C + D) == C * gamma / (A * gamma + B * gamma + C * gamma + D * gamma)
 
     def test_worked_arithmetic(self):
         # alpha = 2 gamma, delta = 3 gamma, all blocks 1: 0.25 versus 1/7
@@ -52,7 +52,6 @@ class TestRemark5:
         theta_prime = C * gamma / (A * 2 * gamma + B * gamma + C * gamma + D * 3 * gamma)
         assert theta == pytest.approx(0.25)
         assert theta_prime == pytest.approx(1.0 / 7.0)
-        assert remark5_check(A, B, C, D, alpha=2 * gamma, gamma=gamma, delta=3 * gamma)
 
     def test_randomized_bulk(self):
         rng = np.random.default_rng(42)
@@ -67,13 +66,14 @@ class TestRemark5:
 
     def test_outside_precondition_no_guarantee(self):
         # alpha below gamma can push the reweighted ratio above the plain one
-        assert not remark5_check(10.0, 0.1, 0.1, 0.1, alpha=0.1, gamma=1.0, delta=1.0)
+        A, B, C, D, alpha, gamma, delta = 10.0, 0.1, 0.1, 0.1, 0.1, 1.0, 1.0
+        assert C / (A + B + C + D) < C * gamma / (A * alpha + B * gamma + C * gamma + D * delta)
 
 
 def single_instance_report(cfg):
     """The SweepReport of a continuous sweep from instances drawn and
     evaluated one at a time, each from its own (seed, index) generator."""
-    from cpb.verify import _evaluate_pair, _sample_continuous_model, _sample_continuous_pair
+    from cpb.verify import _sample_continuous_model, _sample_continuous_pair
 
     margins, violations = [], []
     for index in range(cfg.instances):
@@ -156,6 +156,11 @@ class TestTheorem1Sweep:
         # against a nan tolerance no margin could fail, so the sweep passed anything
         with pytest.raises(ValueError, match="tolerance must be positive"):
             SweepConfig(engine="continuous", tolerance=tolerance)
+
+    def test_tolerance_must_be_finite(self):
+        # no margin falls below -inf, so the sweep passed anything
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            SweepConfig(engine="continuous", tolerance=math.inf)
 
     def test_nan_tolerance_exits_before_any_row(self, tmp_path, capsys):
         cfg = Path(__file__).resolve().parent / "golden" / "cfg" / "readme.cfg"
@@ -312,15 +317,35 @@ class TestAddedArrival:
 
 
 class TestIntervalMismatch:
+    @staticmethod
+    def witnesses() -> list[Witness]:
+        """Two no-arrival scenarios where window length pushes belief opposite ways.
+
+        The first law concentrates early switch mass and pairs with a much
+        larger post-change rate, so a longer silent window makes "no switch
+        yet" more credible.  The second uses a memoryless law with nearly
+        equal rates, so the silent evidence is weak and prior decay wins.
+        """
+        h_short, h_long = History(1.0), History(3.0)
+        law_a = ChangePointLaw.table([(0.05, 0.0), (0.1, 0.5), (99.0, 0.5), (100.0, 1.0)])
+        law_b = ChangePointLaw.exponential(1.0)
+        witnesses = []
+        for model in (ContinuousModel(RateSchedule((0.05,), (8.0,)), law_a),
+                      ContinuousModel(RateSchedule((1.0,), (1.2,)), law_b)):
+            values = _evaluate_pair("continuous", model, h_short, h_long)
+            margin = values["posterior_high"] - values["posterior_low"]
+            witnesses.append(Witness("continuous", model, h_short, h_long, margin=margin, **values))
+        return witnesses
+
     def test_both_directions_witnessed(self):
-        up, down = interval_mismatch_examples()
+        up, down = self.witnesses()
         assert up.posterior_low < up.posterior_high
         assert down.posterior_low > down.posterior_high
         # windows differ on purpose: the order does not apply across horizons
         assert up.history_low.horizon != up.history_high.horizon
 
     def test_witnesses_reevaluate(self):
-        up, down = interval_mismatch_examples()
+        up, down = self.witnesses()
         for w in (up, down):
             out = reevaluate(w)
             assert out.posterior_low == pytest.approx(w.posterior_low, abs=1e-10)
@@ -333,50 +358,75 @@ class TestIntervalMismatch:
 
 
 class TestCataniaBridge:
+    """Strictly increasing rate gaps survive the slot grid: the survival-odds
+    condition (``validate_rates(...).ser``) of the rates divided by the grid
+    factor m holds for every m from some m0 on, and has no verdict while a
+    scaled rate reaches 1.  A factor that is no grid is refused before any
+    row."""
+
+    @staticmethod
+    def ser(rates, m_list):
+        return [validate_rates(rates.scaled(1.0 / m)).ser for m in m_list]
+
+    @staticmethod
+    def grid_rows(rates, m_list):
+        # the program's grid path: convergence_study snaps a continuous
+        # model with these rates onto each grid factor in turn
+        model = ContinuousModel(rates, ChangePointLaw.exponential(1.0))
+        return convergence_study(model, History(1.0, (0.5,)), m_list)
+
     def test_increasing_gaps_hold_for_large_grids(self):
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
-        report = catania_bridge_check(rates, [2, 4, 8, 16, 64, 256])
-        assert report.catania_holds
-        assert report.least_m is not None
-        # once the condition holds it keeps holding on finer grids
-        seen = [row.ser_holds for row in report.rows if row.admissible]
-        first_true = seen.index(True)
-        assert all(seen[first_true:])
+        assert validate_rates(rates).catania
+        assert self.ser(rates, [2, 4, 8, 16, 64, 256]) == [None] + [True] * 5
+
+    def test_random_increasing_gaps_hold_from_some_grid_on(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            size = int(rng.integers(1, 6))
+            pre = rng.uniform(0.2, 2.0, size=size)
+            gaps = rng.uniform(0.02, 0.8, size=size).cumsum()
+            rates = RateSchedule(pre.tolist(), (pre + gaps).tolist())
+            seen = [s for s in self.ser(rates, [2 ** e for e in range(21)]) if s is not None]
+            assert seen[-1] and all(seen[seen.index(True):])
 
     def test_tied_gaps_borderline(self):
-        rates = RateSchedule((1.0, 1.0), (2.0, 2.0))  # equal gaps
-        report = catania_bridge_check(rates, [8, 64, 512])
-        assert not report.catania_holds
-        for row in report.rows:
-            if row.admissible:
-                assert row.borderline
-                assert abs(row.min_margin) <= (rates.max_rate() / row.m) ** 2
+        # not strictly increasing, and the condition holds with equality on
+        # every grid: the two products it compares are the same floats
+        rates = RateSchedule((1.0, 1.0), (2.0, 2.0))
+        assert not validate_rates(rates).catania
+        assert self.ser(rates, [8, 64, 512]) == [True] * 3
 
     def test_too_small_grid_inadmissible(self):
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
-        report = catania_bridge_check(rates, [1, 2, 16])
-        assert report.rows[0].admissible is False
-        assert report.rows[0].ser_holds is None
+        assert self.ser(rates, [1, 2, 16]) == [None, None, True]
 
     def test_requires_strict_dominance(self):
-        with pytest.raises(PreconditionError):
-            catania_bridge_check(RateSchedule((1.0, 2.0), (2.0, 2.0)), [8])
+        # the gap shrinks from 1 to 0: the condition fails on every grid
+        rates = RateSchedule((1.0, 2.0), (2.0, 2.0))
+        assert not validate_rates(rates).assu_strict
+        assert self.ser(rates, [8, 64, 512]) == [False] * 3
 
     @pytest.mark.parametrize("m_list, bad", [([0, 4], 0), ([4, -2], -2)])
     def test_factor_below_one_refused_before_any_row(self, m_list, bad):
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
         with pytest.raises(PreconditionError, match=f"^grid factor must be >= 1, got {bad}$"):
-            catania_bridge_check(rates, m_list)
+            self.grid_rows(rates, m_list)
 
     @pytest.mark.parametrize("m", [2.5, 16.0])
     def test_float_factor_refused_before_any_row(self, m):
         # 2.5 is not truncated to a grid of 2
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
         with pytest.raises(PreconditionError, match=f"^grid factor must be an integer, got {m}$"):
-            catania_bridge_check(rates, [4, m])
+            self.grid_rows(rates, [4, m])
 
     def test_numpy_integer_factor_accepted(self):
         rates = RateSchedule((1.0, 1.0), (2.0, 3.0))
-        report = catania_bridge_check(rates, [np.int64(16)])
-        assert report == catania_bridge_check(rates, [16])
-        assert type(report.rows[0].m) is int
+        rows = self.grid_rows(rates, [np.int64(16)])
+        assert rows == self.grid_rows(rates, [16])
+        assert type(rows[0].m) is int
+        # the grid model carries the scaled rates whose condition the bridge reads
+        model = ContinuousModel(rates, ChangePointLaw.exponential(1.0))
+        disc, _ = discretize(model, History(1.0, (0.5,)), np.int64(16))
+        assert validate_rates(disc.rates).ser is True
+        assert self.ser(rates, [16]) == [True]
