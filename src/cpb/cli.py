@@ -366,6 +366,9 @@ def _as_discrete(config: ModelConfig, what: str, m: int | None):
     discrete config's own, or a continuous one's snapped to grid factor m."""
     if m is not None:
         _grid_factor(m, "--m")
+        if config.kind == "discrete":
+            raise PreconditionError(
+                "--m applies only to a continuous config: a discrete config has its own slots")
     if config.kind == "continuous" and m is None:
         raise PreconditionError("a continuous config needs --m to run on the slot grid")
     if config.history is None:
@@ -703,9 +706,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except SearchFailureError as exc:
-        print(f"suite failure: {exc}", file=sys.stderr)
-        return EXIT_SUITE_FAILURE
     except ValueError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

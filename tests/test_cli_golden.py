@@ -89,6 +89,11 @@ CASES = [
     "posterior readme.cfg --engine discrete --m 0",
     "posterior closed-form.cfg --engine discrete --m -3",
     "verify discrete.cfg --suite identities --m 0",
+    # --m snaps a continuous config to a slot grid: on a discrete config, which
+    # has its own slots, each command that takes it refuses it
+    "posterior hazard.cfg --engine discrete --m 4",
+    "posterior discrete.cfg --engine oracle --m 4",
+    "verify discrete.cfg --suite identities --m 4",
     "converge readme.cfg --m-list 0,4",
     "converge readme.cfg --m-list 4,x",
     "converge readme.cfg --m-list ,",

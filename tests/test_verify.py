@@ -31,6 +31,11 @@ from cpb.verify import (
     SweepReport,
     Witness,
     _evaluate_pair,
+    _sample_continuous_model,
+    _sample_continuous_pair,
+    _sample_discrete_model,
+    _sample_discrete_pair,
+    _sweep_chunk,
     added_arrival_search,
     counterexample_added_arrival,
     reevaluate,
@@ -73,8 +78,6 @@ class TestRemark5:
 def single_instance_report(cfg):
     """The SweepReport of a continuous sweep from instances drawn and
     evaluated one at a time, each from its own (seed, index) generator."""
-    from cpb.verify import _sample_continuous_model, _sample_continuous_pair
-
     margins, violations = [], []
     for index in range(cfg.instances):
         rng = np.random.default_rng((cfg.seed, index))
@@ -85,11 +88,9 @@ def single_instance_report(cfg):
                   values["intensity_high"] - values["intensity_low"])
         margins.append(margin)
         if min(margin) < -cfg.tolerance:
-            violations.append(Witness("continuous", model, low, high, margin=min(margin),
-                                      note="monotonicity violated", **values))
+            violations.append(Witness("continuous", model, low, high, margin=min(margin), **values))
     post, rise = zip(*margins)
-    return SweepReport("continuous", cfg.instances, tuple(violations),
-                       min(post), max(post), min(rise), max(rise))
+    return SweepReport("continuous", cfg.instances, tuple(violations), min(post), min(rise))
 
 
 class TestDiscreteSamplerForms:
@@ -117,6 +118,26 @@ class TestDiscreteSamplerForms:
             ([0.0], np.cumsum(ref.uniform(0.0, 0.3, size=size - 1)))))
         assert new.tolist() == old.tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestSamplersAdmissibleByConstruction:
+    """The sweep samplers check none of their draws: each model they draw
+    must meet its engine's conditions by construction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.integers(0, 10**6))
+    def test_discrete_models_meet_plo_and_ser(self, seed, index):
+        report = validate_rates(_sample_discrete_model(np.random.default_rng((seed, index))).rates)
+        assert report.plo and report.ser
+
+    @pytest.mark.parametrize("require_catania", [False, True])
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 10**6))
+    def test_continuous_models_dominate(self, require_catania, seed, index):
+        cfg = SweepConfig(engine="continuous", require_catania=require_catania)
+        report = validate_rates(_sample_continuous_model(cfg, np.random.default_rng((seed, index))).rates)
+        assert report.assu_broad
+        assert report.catania or not require_catania
 
 
 class TestTheorem1Sweep:
@@ -172,10 +193,20 @@ class TestTheorem1Sweep:
         assert err == "precondition error: tolerance must be positive, got nan\n"
 
     def test_equal_rate_pairs_have_zero_margin(self):
-        # histories equal by construction when no shift applies: margins 0
+        # an instance whose shifts all leave its history in place (or that
+        # has no arrival to shift) compares a history with itself: both of
+        # its margins are exactly 0
         cfg = SweepConfig(engine="discrete", instances=100, seed=11)
-        report = theorem1_sweep(cfg)
-        assert report.max_posterior_margin >= 0.0
+        margins = [m for start in (0, 64) for m in _sweep_chunk(cfg, start)]
+        equal = []
+        for index, (post_margin, int_margin, _) in enumerate(margins):
+            rng = np.random.default_rng((cfg.seed, index))
+            _sample_discrete_model(rng)
+            low, high = _sample_discrete_pair(rng)
+            if low == high:
+                equal.append(index)
+                assert (post_margin, int_margin) == (0.0, 0.0)
+        assert len(margins) == 100 and 0 < len(equal) < 100
 
     @pytest.mark.parametrize("engine", ["discrete", "continuous"])
     def test_process_pool_matches_serial(self, engine, monkeypatch):
@@ -253,7 +284,6 @@ class TestTheorem1Sweep:
         # the instances the sweep draws must get the same verdict from the
         # factorised engine and from the enumeration oracle
         from cpb.discrete import brute_force_posterior, posterior_survival
-        from cpb.verify import _sample_discrete_model, _sample_discrete_pair
 
         rng = np.random.default_rng(31)
         for _ in range(100):
