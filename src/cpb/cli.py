@@ -381,6 +381,8 @@ def _as_discrete(config: ModelConfig, what: str, m: int | None):
 def cmd_posterior(config: ModelConfig, args) -> Table:
     engine = args.engine
     if engine == "continuous":
+        if args.m is not None:
+            raise PreconditionError("--m applies only to the discrete and oracle engines")
         result = cont.intensity(*_continuous(config, "posterior"))
     else:
         model, history = _as_discrete(config, "posterior", args.m)
@@ -429,6 +431,8 @@ def cmd_simulate(config: ModelConfig, args) -> Table:
 
 
 def cmd_verify(config: ModelConfig, args) -> Table:
+    if args.m is not None and args.suite != "identities":
+        raise PreconditionError("--m applies only to the identities suite")
     return _SUITES[args.suite](config, args)
 
 
@@ -668,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--M", type=float, default=None,
                    help="counterexample suite: use the built-in two-level preset with this M")
-    p.add_argument("--m", type=int, default=None, help="slot grid factor where needed")
+    p.add_argument("--m", type=int, default=None, help="identities suite: slot grid factor")
     p.add_argument("--m-list", default="16,32,64,128,256")
     p.add_argument("--out", default=None)
 

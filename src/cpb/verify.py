@@ -1,7 +1,8 @@
 """Randomized property sweeps and counterexample searches.
 
 The monotonicity sweeps draw admissible models and comparable history
-pairs by construction (never by rejection), and check that later arrivals
+pairs by construction (never by rejection), 64 instances at a time from
+one generator per (seed, chunk index), and check that later arrivals
 push the posterior survival down and the intensity up.  The searches
 reproduce a boundary phenomenon: an extra arrival can lower the intensity.
 Why windows of different lengths cannot be compared is shown in the tests
@@ -14,7 +15,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from . import continuous as cont
 from . import discrete as disc
@@ -39,10 +39,6 @@ __all__ = [
     "added_arrival_search",
     "reevaluate",
 ]
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 # Sweep sampler ranges: per-slot probabilities and slots (discrete engine),
 # rates and horizons (continuous), listed counts, and the weibull share.
@@ -141,89 +137,89 @@ def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
     return _evaluate_pairs(engine, [(model, h_low, h_high)])[0]
 
 
-def _sample_discrete_model(rng: np.random.Generator) -> disc.DiscreteModel:
-    """Schedule that meets the discrete monotonicity conditions by construction.
-
-    In log-survival units, ``ser`` (survival-odds ratios >= 1) says exactly
-    that the gap between the regimes' log survival losses never shrinks as
-    the count grows.  So a positive gap gives ``plo`` and a nondecreasing one
-    gives ``ser``, up to rounding on steps below about 1e-15, which a
-    U(0, 0.3) step draw hits with probability about 3e-15.
-    """
-    import numpy as np
-
-    size = int(rng.integers(2, MAX_COUNT + 2))
-    s_pre = -np.log1p(-rng.uniform(RATE_LOW, RATE_HIGH, size=size))
-    base = rng.uniform(0.05, 0.4)
-    steps = rng.uniform(0.0, 0.3, size=size - 1).tolist()
-    s_post = s_pre + [base + g for g in itertools.accumulate(steps, initial=0.0)]
-    rates = RateSchedule((-np.expm1(-s_pre)).tolist(), (-np.expm1(-s_post)).tolist())
-    hazards = rng.uniform(0.02, 0.4, size=int(rng.integers(1, 4))).tolist()
-    return disc.DiscreteModel(rates, ChangePointLaw.discrete_hazard(hazards))
-
-
-def _sample_continuous_model(cfg: SweepConfig, rng: np.random.Generator) -> cont.ContinuousModel:
-    """Schedule whose post-change rates dominate at least broadly, by construction.
-
-    Nonnegative gaps give broad dominance.  With ``require_catania`` the gaps
-    are cumulative sums of draws of at least 0.02, so they strictly increase;
-    otherwise they are free draws, exact ties included.
-    """
-    size = int(rng.integers(2, MAX_COUNT + 2))
-    pre = rng.uniform(CONT_RATE_LOW, CONT_RATE_HIGH, size=size)
-    if cfg.require_catania:
-        gaps = rng.uniform(0.02, 0.8, size=size).cumsum()
-    else:
-        gaps = rng.uniform(0.0, CONT_RATE_HIGH, size=size)
-        gaps[rng.random(size) < 0.15] = 0.0
-    rates = RateSchedule(pre.tolist(), (pre + gaps).tolist())
-    if rng.random() < WEIBULL_SHARE:
-        law = ChangePointLaw.weibull(rng.uniform(0.8, 1.8), rng.uniform(0.5, 2.0))
-    else:
-        law = ChangePointLaw.exponential(rng.uniform(0.3, 1.5))
-    return cont.ContinuousModel(rates, law)
-
-
-def _sample_discrete_pair(rng: np.random.Generator):
-    n = int(rng.integers(SLOT_LOW, SLOT_HIGH + 1))
-    k = int(rng.integers(0, min(MAX_COUNT, n) + 1))
-    slots = tuple(sorted((rng.choice(n, size=k, replace=False) + 1).tolist()))
-    low = DiscreteHistory(n, slots)
-    high = low
-    for _ in range(int(rng.geometric(0.25))):
-        if k == 0:
-            break
-        high = shift_operator(high, int(rng.integers(1, k + 1)))
-    return low, high
-
-
-def _sample_continuous_pair(rng: np.random.Generator):
-    import numpy as np
-
-    t = rng.uniform(HORIZON_LOW, HORIZON_HIGH)
-    k = int(rng.integers(0, MAX_COUNT + 1))
-    a = np.sort(rng.uniform(0.0, t, size=k))
-    b = np.sort(rng.uniform(0.0, t, size=k))
-    low = History(t, np.minimum(a, b).tolist())
-    high = History(t, np.maximum(a, b).tolist())
-    return low, high
-
-
 _CHUNK = 64  # the instances a sweep draws and evaluates together: one pool task
+
+
+def _sample_chunk(cfg: SweepConfig, start: int) -> list:
+    """(model, h_low, h_high) of the instances start, start + 1, ... of one chunk.
+
+    One generator, derived from (seed, chunk index), draws each field of all
+    64 instances of the chunk in one call, on rows padded to the largest
+    size, and the chunk keeps its first instances up to cfg.instances; so an
+    instance's draw depends on the seed and its index alone.
+
+    Discrete schedules meet the discrete monotonicity conditions by
+    construction.  In log-survival units, ``ser`` (survival-odds ratios >= 1)
+    says exactly that the gap between the regimes' log survival losses never
+    shrinks as the count grows.  So a positive gap gives ``plo`` and a
+    nondecreasing one gives ``ser``, up to rounding on steps below about
+    1e-15, which a U(0, 0.3) step draw hits with probability about 3e-15.
+    The high history shifts the low one's arrivals a geometric number of times.
+
+    Continuous schedules' post-change rates dominate at least broadly, by
+    construction.  Nonnegative gaps give broad dominance.  With
+    ``require_catania`` the gaps are cumulative sums of draws of at least
+    0.02, so they strictly increase; otherwise they are free draws, exact
+    ties included.  At each index the low history takes the earlier, the
+    high one the later of two sorted uniform draws.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng((cfg.seed, start // _CHUNK))
+    rows, width, keep = _CHUNK, MAX_COUNT + 1, range(min(_CHUNK, cfg.instances - start))
+    sizes = rng.integers(2, width + 1, size=rows).tolist()
+    if cfg.engine == "discrete":
+        s_pre = -np.log1p(-rng.uniform(RATE_LOW, RATE_HIGH, size=(rows, width)))
+        gaps = np.column_stack((rng.uniform(0.05, 0.4, size=rows),
+                                rng.uniform(0.0, 0.3, size=(rows, width - 1)))).cumsum(axis=1)
+        pre, post = (-np.expm1(-s_pre)).tolist(), (-np.expm1(-(s_pre + gaps))).tolist()
+        hazard_counts = rng.integers(1, 4, size=rows).tolist()
+        hazards = rng.uniform(0.02, 0.4, size=(rows, 3)).tolist()
+        n = rng.integers(SLOT_LOW, SLOT_HIGH + 1, size=rows)
+        k = rng.integers(0, np.minimum(MAX_COUNT, n) + 1)
+        keys = rng.random((rows, SLOT_HIGH))
+        keys[np.arange(SLOT_HIGH) >= n[:, None]] = 2.0  # slots past n sort last
+        slots = (np.argsort(keys, axis=1)[:, :MAX_COUNT] + 1).tolist()
+        # every shift count in full: one flat draw holds the indices of all of them
+        shifts = np.where(k > 0, rng.geometric(0.25, size=rows), 0)
+        indices = iter(rng.integers(1, np.repeat(k + 1, shifts)).tolist())
+        n, k, shifts = n.tolist(), k.tolist(), shifts.tolist()
+        out = []
+        for i in keep:
+            low = high = DiscreteHistory(n[i], sorted(slots[i][:k[i]]))
+            for index in itertools.islice(indices, shifts[i]):
+                high = shift_operator(high, index)
+            law = ChangePointLaw.discrete_hazard(hazards[i][:hazard_counts[i]])
+            out.append((disc.DiscreteModel(RateSchedule(pre[i][:sizes[i]], post[i][:sizes[i]]), law),
+                        low, high))
+        return out
+    pre = rng.uniform(CONT_RATE_LOW, CONT_RATE_HIGH, size=(rows, width))
+    if cfg.require_catania:
+        gaps = rng.uniform(0.02, 0.8, size=(rows, width)).cumsum(axis=1)
+    else:
+        gaps = rng.uniform(0.0, CONT_RATE_HIGH, size=(rows, width))
+        gaps[rng.random((rows, width)) < 0.15] = 0.0
+    pre, post = pre.tolist(), (pre + gaps).tolist()
+    weibull = (rng.random(rows) < WEIBULL_SHARE).tolist()
+    shapes, scales = rng.uniform(0.8, 1.8, size=rows).tolist(), rng.uniform(0.5, 2.0, size=rows).tolist()
+    law_rates = rng.uniform(0.3, 1.5, size=rows).tolist()
+    t = rng.uniform(HORIZON_LOW, HORIZON_HIGH, size=rows)
+    k = rng.integers(0, MAX_COUNT + 1, size=rows)
+    arrivals = rng.uniform(0.0, t[:, None], size=(2, rows, MAX_COUNT))
+    arrivals[:, np.arange(MAX_COUNT) >= k[:, None]] = np.inf  # past k: sorted last
+    arrivals.sort(axis=2)
+    lows, highs = arrivals.min(axis=0).tolist(), arrivals.max(axis=0).tolist()
+    t, k = t.tolist(), k.tolist()
+    laws = [ChangePointLaw.weibull(shapes[i], scales[i]) if weibull[i]
+            else ChangePointLaw.exponential(law_rates[i]) for i in keep]
+    return [(cont.ContinuousModel(RateSchedule(pre[i][:sizes[i]], post[i][:sizes[i]]), laws[i]),
+             History(t[i], lows[i][:k[i]]), History(t[i], highs[i][:k[i]])) for i in keep]
 
 
 def _sweep_chunk(cfg: SweepConfig, start: int):
     """(posterior margin, intensity margin, witness or None) of the instances
     start, start + 1, ... of one chunk, evaluated together."""
-    import numpy as np
-
-    drawn = []
-    for index in range(start, min(start + _CHUNK, cfg.instances)):
-        rng = np.random.default_rng((cfg.seed, index))
-        if cfg.engine == "discrete":
-            drawn.append((_sample_discrete_model(rng), *_sample_discrete_pair(rng)))
-        else:
-            drawn.append((_sample_continuous_model(cfg, rng), *_sample_continuous_pair(rng)))
+    drawn = _sample_chunk(cfg, start)
     out = []
     for (model, h_low, h_high), values in zip(drawn, _evaluate_pairs(cfg.engine, drawn)):
         post_margin = values["posterior_low"] - values["posterior_high"]
@@ -246,11 +242,11 @@ def _worker_count() -> int:
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Check monotonicity on randomly drawn comparable history pairs.
 
-    The instances come in chunks of 64: a chunk draws its instances, each
-    from its own generator derived from (seed, index), and evaluates them
-    together, and a history's values do not depend on its chunk.  So the
-    outcome is identical whether the chunks run serially or across the
-    worker count set by the THREADS environment variable.
+    The instances come in chunks of 64.  A chunk draws all 64 from one
+    generator derived from (seed, chunk index), keeps those below
+    cfg.instances and evaluates them together, and no value depends on
+    the chunk's other instances.  So instance i depends on the seed and i
+    alone, whatever the instance count or the THREADS worker count.
     """
     workers = _worker_count()
     starts = range(0, cfg.instances, _CHUNK)

@@ -94,6 +94,13 @@ CASES = [
     "posterior hazard.cfg --engine discrete --m 4",
     "posterior discrete.cfg --engine oracle --m 4",
     "verify discrete.cfg --suite identities --m 4",
+    # only the discrete and oracle engines and the identities suite go onto
+    # the slot grid: every other command that takes --m refuses it
+    "posterior readme.cfg --m 4",
+    "verify readme.cfg --suite theorem1 --m 4",
+    "verify readme.cfg --suite counterexample --m 4",
+    "verify readme.cfg --suite timescale --m 4",
+    "verify closed-form.cfg --suite convergence --m 4",
     "converge readme.cfg --m-list 0,4",
     "converge readme.cfg --m-list 4,x",
     "converge readme.cfg --m-list ,",

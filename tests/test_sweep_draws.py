@@ -1,7 +1,8 @@
 """The theorem1 sweep's draws, pinned: the first instances of each sampler mode.
 
-Instance i of a sweep with seed s draws its model and its history pair from
-its own generator, default_rng((s, i)).  The recorded draws live in
+A sweep with seed s draws its instances 64 at a time: chunk c draws the
+models and history pairs of instances 64c, ..., 64c + 63 from one generator,
+default_rng((s, c)).  The recorded draws live in
 tests/golden/sweep-draws.json: integers (sizes, counts, slots, the number
 of shifts applied) and the law family exactly, floats to 12 significant
 digits, so a changed draw fails and a last-bit difference does not.  To
@@ -15,10 +16,10 @@ import math
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from cpb import verify
+from cpb.core import DiscreteHistory, shift_operator
 
 RECORDED = Path(__file__).resolve().parent / "golden" / "sweep-draws.json"
 SEED, INSTANCES = 0, 200
@@ -37,23 +38,32 @@ def _model_fields(model) -> dict:
 def draws(mode: str) -> list[dict]:
     """The first INSTANCES draws of one sampler mode, made as the sweep makes them."""
     engine, require_catania = MODES[mode]
-    cfg = verify.SweepConfig(engine=engine, require_catania=require_catania)
+    cfg = verify.SweepConfig(engine=engine, instances=INSTANCES, seed=SEED, require_catania=require_catania)
+    # shifts[i]: the shifts applied after the sampler builds instance i's low history
+    shifts = []
+
+    def low_history(*args):
+        shifts.append(0)
+        return DiscreteHistory(*args)
+
+    def shift(history, index):
+        shifts[-1] += 1
+        return shift_operator(history, index)
+
+    with mock.patch.object(verify, "DiscreteHistory", low_history), \
+            mock.patch.object(verify, "shift_operator", shift):
+        drawn = [instance for start in range(0, INSTANCES, verify._CHUNK)
+                 for instance in verify._sample_chunk(cfg, start)]
     out = []
-    with mock.patch.object(verify, "shift_operator", wraps=verify.shift_operator) as shift:
-        for index in range(INSTANCES):
-            rng = np.random.default_rng((SEED, index))
-            if engine == "discrete":
-                fields = _model_fields(verify._sample_discrete_model(rng))
-                before = shift.call_count
-                low, high = verify._sample_discrete_pair(rng)
-                fields.update(n=low.horizon_slot, k=low.count, low=list(low.arrival_slots),
-                              high=list(high.arrival_slots), shifts=shift.call_count - before)
-            else:
-                fields = _model_fields(verify._sample_continuous_model(cfg, rng))
-                low, high = verify._sample_continuous_pair(rng)
-                fields.update(horizon=low.horizon, k=low.count, low=list(low.arrivals),
-                              high=list(high.arrivals))
-            out.append(fields)
+    for i, (model, low, high) in enumerate(drawn):
+        fields = _model_fields(model)
+        if engine == "discrete":
+            fields.update(n=low.horizon_slot, k=low.count, low=list(low.arrival_slots),
+                          high=list(high.arrival_slots), shifts=shifts[i])
+        else:
+            fields.update(horizon=low.horizon, k=low.count, low=list(low.arrivals),
+                          high=list(high.arrivals))
+        out.append(fields)
     return out
 
 

@@ -1,6 +1,5 @@
 """Verification harness: sweeps and searches."""
 
-import itertools
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -22,19 +21,11 @@ from cpb.core import (
 )
 from cpb.continuous import ContinuousModel, convergence_study, discretize, intensity
 from cpb.verify import (
-    MAX_COUNT,
-    RATE_HIGH,
-    RATE_LOW,
-    SLOT_HIGH,
-    SLOT_LOW,
     SweepConfig,
     SweepReport,
     Witness,
     _evaluate_pair,
-    _sample_continuous_model,
-    _sample_continuous_pair,
-    _sample_discrete_model,
-    _sample_discrete_pair,
+    _sample_chunk,
     _sweep_chunk,
     added_arrival_search,
     counterexample_added_arrival,
@@ -75,14 +66,16 @@ class TestRemark5:
         assert C / (A + B + C + D) < C * gamma / (A * alpha + B * gamma + C * gamma + D * delta)
 
 
+def chunk_instances(cfg):
+    """Every (model, h_low, h_high) a sweep draws, chunk by chunk."""
+    return [instance for start in range(0, cfg.instances, 64) for instance in _sample_chunk(cfg, start)]
+
+
 def single_instance_report(cfg):
-    """The SweepReport of a continuous sweep from instances drawn and
-    evaluated one at a time, each from its own (seed, index) generator."""
+    """The SweepReport of a continuous sweep from the chunk sampler's
+    instances, evaluated one at a time."""
     margins, violations = [], []
-    for index in range(cfg.instances):
-        rng = np.random.default_rng((cfg.seed, index))
-        model = _sample_continuous_model(cfg, rng)
-        low, high = _sample_continuous_pair(rng)
+    for model, low, high in chunk_instances(cfg):
         values = _evaluate_pair("continuous", model, low, high)
         margin = (values["posterior_low"] - values["posterior_high"],
                   values["intensity_high"] - values["intensity_low"])
@@ -93,51 +86,30 @@ def single_instance_report(cfg):
     return SweepReport("continuous", cfg.instances, tuple(violations), min(post), min(rise))
 
 
-class TestDiscreteSamplerForms:
-    """The discrete sweep samplers' cheaper forms draw the values, and leave the
-    generator in the state, of the numpy forms they replaced."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(SLOT_LOW, SLOT_HIGH), st.data(), st.integers(0, 2**32 - 1))
-    def test_choice_of_a_count_matches_choice_of_the_slots(self, n, data, seed):
-        k = data.draw(st.integers(0, min(MAX_COUNT, n)))
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = (rng.choice(n, size=k, replace=False) + 1).tolist()
-        assert new == ref.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, MAX_COUNT + 1), st.integers(0, 2**32 - 1))
-    def test_accumulated_gap_matches_cumsum(self, size, seed):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        s_pre = -np.log1p(-np.random.default_rng(seed + 1).uniform(RATE_LOW, RATE_HIGH, size=size))
-        base = rng.uniform(0.05, 0.4)
-        steps = rng.uniform(0.0, 0.3, size=size - 1).tolist()
-        new = s_pre + [base + g for g in itertools.accumulate(steps, initial=0.0)]
-        old = s_pre + (ref.uniform(0.05, 0.4) + np.concatenate(
-            ([0.0], np.cumsum(ref.uniform(0.0, 0.3, size=size - 1)))))
-        assert new.tolist() == old.tolist()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
 class TestSamplersAdmissibleByConstruction:
-    """The sweep samplers check none of their draws: each model they draw
-    must meet its engine's conditions by construction."""
+    """The sweep's chunk sampler checks none of its draws: each model of a
+    chunk must meet its engine's conditions by construction."""
+
+    @staticmethod
+    def chunk(seed, chunk, **kwargs):
+        cfg = SweepConfig(instances=64 * (chunk + 1), seed=seed, **kwargs)
+        return [validate_rates(model.rates) for model, _, _ in _sample_chunk(cfg, 64 * chunk)]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**63 - 1), st.integers(0, 10**6))
-    def test_discrete_models_meet_plo_and_ser(self, seed, index):
-        report = validate_rates(_sample_discrete_model(np.random.default_rng((seed, index))).rates)
-        assert report.plo and report.ser
+    @given(st.integers(0, 2**63 - 1), st.integers(0, 10**4))
+    def test_discrete_models_meet_plo_and_ser(self, seed, chunk):
+        reports = self.chunk(seed, chunk, engine="discrete")
+        assert len(reports) == 64
+        assert all(report.plo and report.ser for report in reports)
 
     @pytest.mark.parametrize("require_catania", [False, True])
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 10**6))
-    def test_continuous_models_dominate(self, require_catania, seed, index):
-        cfg = SweepConfig(engine="continuous", require_catania=require_catania)
-        report = validate_rates(_sample_continuous_model(cfg, np.random.default_rng((seed, index))).rates)
-        assert report.assu_broad
-        assert report.catania or not require_catania
+    @given(seed=st.integers(0, 2**63 - 1), chunk=st.integers(0, 10**4))
+    def test_continuous_models_dominate(self, require_catania, seed, chunk):
+        reports = self.chunk(seed, chunk, engine="continuous", require_catania=require_catania)
+        assert len(reports) == 64
+        assert all(report.assu_broad for report in reports)
+        assert all(report.catania for report in reports) or not require_catania
 
 
 class TestTheorem1Sweep:
@@ -199,18 +171,25 @@ class TestTheorem1Sweep:
         cfg = SweepConfig(engine="discrete", instances=100, seed=11)
         margins = [m for start in (0, 64) for m in _sweep_chunk(cfg, start)]
         equal = []
-        for index, (post_margin, int_margin, _) in enumerate(margins):
-            rng = np.random.default_rng((cfg.seed, index))
-            _sample_discrete_model(rng)
-            low, high = _sample_discrete_pair(rng)
+        for (_, low, high), (post_margin, int_margin, _) in zip(chunk_instances(cfg), margins):
             if low == high:
-                equal.append(index)
+                equal.append(low)
                 assert (post_margin, int_margin) == (0.0, 0.0)
         assert len(margins) == 100 and 0 < len(equal) < 100
 
     @pytest.mark.parametrize("engine", ["discrete", "continuous"])
+    def test_instance_draws_do_not_depend_on_the_instance_count(self, engine):
+        # a chunk always draws all 64 of its instances and keeps a prefix, so
+        # instance i is the same in a sweep of 65 instances and one of 200
+        short, long = (SweepConfig(engine=engine, instances=n, seed=7) for n in (65, 200))
+        assert chunk_instances(short) == chunk_instances(long)[:65]
+        margins = {cfg.instances: [m[:2] for start in range(0, cfg.instances, 64)
+                                   for m in _sweep_chunk(cfg, start)] for cfg in (short, long)}
+        assert margins[65] == margins[200][:65]
+
+    @pytest.mark.parametrize("engine", ["discrete", "continuous"])
     def test_process_pool_matches_serial(self, engine, monkeypatch):
-        # every instance seeds its own generator, so the worker count must not
+        # every chunk seeds its own generator, so the worker count must not
         # change the report; the continuous sampler without increasing gaps
         # yields violations, so witnesses cross the process boundary too
         cfg = SweepConfig(engine=engine, instances=300, seed=7, require_catania=False)
@@ -226,8 +205,8 @@ class TestTheorem1Sweep:
     @pytest.mark.parametrize("instances", [1, 63, 64, 65, 200])
     def test_chunks_match_single_instances(self, instances, monkeypatch):
         # the sweep draws and evaluates its instances in chunks of 64; its
-        # report must be the one that instances drawn and evaluated one at a
-        # time give, with one worker or two.  A tolerance of -inf makes every
+        # report must be the one that the chunk sampler's instances give when
+        # evaluated one at a time, with one worker or two.  A tolerance of -inf makes every
         # instance a witness, so the report then carries every value, and
         # each must be what the engines give the witness's own fields
         for tolerance in (1e-12, -math.inf):
@@ -285,10 +264,7 @@ class TestTheorem1Sweep:
         # factorised engine and from the enumeration oracle
         from cpb.discrete import brute_force_posterior, posterior_survival
 
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            model = _sample_discrete_model(rng)
-            h_low, h_high = _sample_discrete_pair(rng)
+        for model, h_low, h_high in chunk_instances(SweepConfig(engine="discrete", instances=100, seed=31)):
             for h in (h_low, h_high):
                 assert posterior_survival(model, h) == pytest.approx(
                     brute_force_posterior(model, h), abs=1e-12
