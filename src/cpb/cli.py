@@ -30,7 +30,6 @@ import numbers
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,6 +47,7 @@ from .core import (
     PreconditionError,
     RateSchedule,
     SearchFailureError,
+    Value,
     shift_operator,
     validate_rates,
 )
@@ -69,8 +69,7 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Value):
     scenario: str
     rates: RateSchedule
     law: ChangePointLaw
@@ -92,7 +91,7 @@ class ModelConfig:
 
 _KNOWN_KEYS = {
     "rates": {"pre", "post", "tail"},
-    "changepoint": {"family"} | {f.name for law in LAWS.values() for f in fields(law)},
+    "changepoint": {"family"} | {name for law in LAWS.values() for name in law._fields},
     "history": {"horizon", "arrivals"},
     "run": {"seed", "tolerance", "instances"},
 }
@@ -218,14 +217,14 @@ def parse_config(text: str, source: str = "<config>") -> ModelConfig:
     if law_cls is None:
         raise ConfigError(source, family_line, f"unknown changepoint family {family_raw!r}")
     params = {}
-    for f in fields(law_cls):
-        if f.default is not MISSING and f.name not in sections["changepoint"]:
+    for name, declared in law_cls._fields.items():
+        if hasattr(law_cls, name) and name not in sections["changepoint"]:
             continue
-        raw, line = need("changepoint", f.name)
+        raw, line = need("changepoint", name)
         try:
-            params[f.name] = _parse_param(raw, f.type)
+            params[name] = _parse_param(raw, declared)
         except ValueError as exc:
-            raise ConfigError(source, line, f"bad {f.name}: {exc}") from None
+            raise ConfigError(source, line, f"bad {name}: {exc}") from None
     try:
         law = law_cls(**params)
     except ValueError as exc:
@@ -306,8 +305,7 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Value):
     """One subcommand's output: the CSV header, the rows (any iterable, read
     once while writing; a str item is CSV text written as it stands) and the
     verdict that main turns into the exit code."""
@@ -639,7 +637,8 @@ def cmd_transform(config: ModelConfig, args) -> Table:
                 new_history = History(new_horizon, mapped)
             except ValueError as exc:
                 raise PreconditionError(f"the transformed history is not a valid history: {exc}") from None
-        Path(args.config_out).write_text(emit_config(replace(config, rates=new_rates, history=new_history)))
+        Path(args.config_out).write_text(emit_config(ModelConfig(
+            config.scenario, new_rates, config.law, new_history, config.seed, config.tolerance, config.instances)))
     return Table(["record", "index", "value_in", "value_out"], rows)
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -51,6 +50,7 @@ from .core import (
     PreconditionError,
     RateSchedule,
     TAIL_REPEAT,
+    Value,
     Weibull,
     _log,
     _log_add,
@@ -75,29 +75,30 @@ __all__ = [
     "convergence_study",
 ]
 
-@dataclass(frozen=True)
-class ContinuousModel:
+class ContinuousModel(Value):
     """Event-rate schedule plus a continuous switch-time law."""
 
     rates: RateSchedule
     law: ChangePointLaw
 
-    def __post_init__(self):
-        if self.law.kind != "continuous":
+    def __init__(self, rates: RateSchedule, law: ChangePointLaw):
+        if law.kind != "continuous":
             raise InvalidScheduleError("continuous model needs a continuous switch law")
+        self.__dict__.update(rates=rates, law=law)
 
 
-@dataclass(frozen=True)
-class PathSample:
+class PathSample(Value):
     """One simulated realisation: the switch time and the arrival instants."""
 
     change_time: float
     arrival_times: tuple[float, ...]
     seed: int | None = None
 
+    def __init__(self, change_time: float, arrival_times: tuple[float, ...], seed: int | None = None):
+        self.__dict__.update(change_time=change_time, arrival_times=arrival_times, seed=seed)
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+
+class ConvergenceRow(Value):
     """Discretisation quality at one grid resolution.
 
     ``reference`` is the continuous posterior survival the grid value is

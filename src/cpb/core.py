@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:
@@ -29,6 +28,7 @@ __all__ = [
     "CapacityError",
     "DegenerateModelError",
     "SearchFailureError",
+    "Value",
     "RateSchedule",
     "ChangePointLaw",
     "Exponential", "Weibull", "PointMass", "Table", "Hazard", "LAWS",
@@ -75,8 +75,48 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-@dataclass(frozen=True)
-class RateSchedule:
+class Value:
+    """Base of the package's read-only value types.
+
+    A class's fields are its annotations after its bases', less ``ClassVar``
+    ones; ``_fields`` maps each to its declared type, as text, and a class
+    value is a default.  Equality (same class), hash, repr, pickles and
+    copies read the fields alone, so no cache travels.  ``__init__`` stores
+    its arguments; a type that checks them writes its own, into __dict__.
+    """
+
+    _fields: ClassVar[dict[str, str]] = {}
+
+    def __init_subclass__(cls):
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = {**cls._fields, **{n: t for n, t in own.items() if not t.startswith("ClassVar")}}
+
+    def __init__(self, *args, **kwargs):
+        fields, d = self._fields, self.__dict__
+        d.update(zip(fields, args), **kwargs)
+        if len(d) != len(args) + len(kwargs) or not d.keys() <= fields.keys() or not all(
+                n in d or hasattr(type(self), n) for n in fields):
+            raise TypeError(f"{type(self).__name__} takes its fields {list(fields)}, each at most once")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__getstate__().values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in self.__getstate__().items())})"
+
+    def _read_only(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is read-only")
+
+    __setattr__ = __delattr__ = _read_only
+
+
+class RateSchedule(Value):
     """Birth rates before and after the change, indexed by arrival count.
 
     Attributes:
@@ -99,9 +139,9 @@ class RateSchedule:
     post_change: tuple[float, ...]
     tail_mode: str = TAIL_REPEAT
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre_change", _as_float_tuple(self.pre_change))
-        object.__setattr__(self, "post_change", _as_float_tuple(self.post_change))
+    def __init__(self, pre_change, post_change, tail_mode: str = TAIL_REPEAT):
+        self.__dict__.update(pre_change=_as_float_tuple(pre_change), post_change=_as_float_tuple(post_change),
+                             tail_mode=tail_mode)
         if not self.pre_change or not self.post_change:
             raise InvalidScheduleError("rate schedule needs at least one entry per regime")
         if len(self.pre_change) != len(self.post_change):
@@ -154,12 +194,11 @@ class RateSchedule:
         )
 
 
-@dataclass(frozen=True)
-class ChangePointLaw:
+class ChangePointLaw(Value):
     """Distribution of the unobservable switch time.
 
-    One frozen dataclass per family.  Its fields are its parameters
-    (``params()``, and the keys of a config file), and it validates them.
+    One ``Value`` subclass per family.  Its fields are its parameters
+    (``params()``, and the keys of a config file), and it checks them.
     The continuous families ``Exponential``, ``Weibull``, ``PointMass`` and
     ``Table`` give ``cdf``, ``sf``, ``log_sf``, ``ppf``, ``scaled_time`` and
     ``segment_integrals(a, b, la, lb, slope)``: equal-length sequences, one
@@ -185,15 +224,16 @@ class ChangePointLaw:
     family: ClassVar[str]
     kind: ClassVar[str] = "continuous"
 
-    def __post_init__(self):
+    def _set_positive(self, **params):
         # the default rule: every parameter is a positive finite number
-        for name, value in self.params().items():
+        for name, value in params.items():
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{self.family} {name} must be positive and finite, got {value}")
+        self.__dict__.update(params)
 
     def params(self) -> dict:
         """The law's parameters by field name, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self.__getstate__()
 
     def _other_kind(self, *args):
         raise ValueError(f"operation does not apply to a {self.kind} law ({self.family})")
@@ -230,12 +270,14 @@ class ChangePointLaw:
         return self._scaled_time(factor)
 
 
-@dataclass(frozen=True)
 class Exponential(ChangePointLaw):
     """Switch time with constant hazard ``rate``."""
 
     rate: float
     family = "exponential"
+
+    def __init__(self, rate: float):
+        self._set_positive(rate=rate)
 
     def cdf(self, x: float) -> float:
         return -math.expm1(-self.rate * x) if x > 0.0 else 0.0
@@ -254,13 +296,15 @@ class Exponential(ChangePointLaw):
         return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
 
 
-@dataclass(frozen=True)
 class Weibull(ChangePointLaw):
     """Switch time with survival exp(-(x / scale) ** shape)."""
 
     shape: float
     scale: float
     family = "weibull"
+
+    def __init__(self, shape: float, scale: float):
+        self._set_positive(shape=shape, scale=scale)
 
     def cdf(self, x: float) -> float:
         return -math.expm1(-_power(x / self.scale, self.shape)) if x > 0.0 else 0.0
@@ -294,12 +338,14 @@ class Weibull(ChangePointLaw):
         return _weibull.segment_integrals([(self.shape, self.scale, len(a))], a, b, la, slope)
 
 
-@dataclass(frozen=True)
 class PointMass(ChangePointLaw):
     """Switch exactly at ``location``."""
 
     location: float
     family = "point-mass"
+
+    def __init__(self, location: float):
+        self._set_positive(location=location)
 
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.location else 0.0
@@ -318,7 +364,6 @@ class PointMass(ChangePointLaw):
         return lb if u0 == b else la + slope * (u0 - a)
 
 
-@dataclass(frozen=True)
 class Table(ChangePointLaw):
     """Piecewise-linear distribution function through (time, probability)
     knots, reaching 1 at the last; a knot (0, 0) is prepended if missing.
@@ -327,8 +372,8 @@ class Table(ChangePointLaw):
     knots: tuple[tuple[float, float], ...]
     family = "table"
 
-    def __post_init__(self):
-        pts = tuple((float(s), float(g)) for s, g in self.knots)
+    def __init__(self, knots):
+        pts = tuple((float(s), float(g)) for s, g in knots)
         if not pts:
             raise ValueError("table law needs at least one knot")
         if pts[0] != (0.0, 0.0):
@@ -343,7 +388,7 @@ class Table(ChangePointLaw):
             raise ValueError("table law must reach probability 1 at its last knot")
         if pts[-1][0] == math.inf:
             raise ValueError("table times must be finite, got inf")
-        object.__setattr__(self, "knots", pts)
+        self.__dict__["knots"] = pts
 
     def _piece(self, x: float):
         """The knots on either side of x, for 0 < x < the last knot time."""
@@ -394,7 +439,6 @@ class Table(ChangePointLaw):
         return total
 
 
-@dataclass(frozen=True)
 class Hazard(ChangePointLaw):
     """Integer-slot switch time: entry m of ``values`` is the probability of
     switching at slot m given no switch before, and ``tail`` (default: the
@@ -407,26 +451,25 @@ class Hazard(ChangePointLaw):
     family = "hazard"
     kind = "discrete"
 
-    def __post_init__(self):
+    def __init__(self, values, tail: float | None = None):
         import numpy as np
 
-        if isinstance(self.values, np.ndarray):
-            values = self.values.astype(float, copy=False)
+        if isinstance(values, np.ndarray):
+            values = values.astype(float, copy=False)
             vals = tuple(values.tolist())
             inside = bool(((values > 0.0) & (values < 1.0)).all())
         else:
-            vals = _as_float_tuple(self.values)
+            vals = _as_float_tuple(values)
             inside = all(0.0 < v < 1.0 for v in vals)
         if not vals:
             raise ValueError("discrete hazard needs at least one entry")
-        t = float(self.tail) if self.tail is not None else vals[-1]
+        t = float(tail) if tail is not None else vals[-1]
         if not (inside and 0.0 < t < 1.0):
             # find the first value out of range for the message
             for m, v in enumerate(vals + (t,)):
                 if not 0.0 < v < 1.0:
                     raise ValueError(f"per-slot switch probability must lie in (0, 1), got {v} at {m}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tail", t)
+        self.__dict__.update(values=vals, tail=t)
 
     def hazard(self, m: int) -> float:
         """Per-slot switch probability at slot m (1-based, tail-extended)."""
@@ -493,8 +536,7 @@ def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
     return hi + math.log1p(-math.exp(-abs(d))) - math.log(abs(d)) + math.log(width)
 
 
-@dataclass(frozen=True)
-class History:
+class History(Value):
     """Observed arrivals on a continuous window.
 
     Encodes the event "arrivals happened exactly at these instants and the
@@ -506,9 +548,8 @@ class History:
     horizon: float
     arrivals: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "arrivals", _as_float_tuple(self.arrivals))
+    def __init__(self, horizon: float, arrivals=()):
+        self.__dict__.update(horizon=float(horizon), arrivals=_as_float_tuple(arrivals))
         if not math.isfinite(self.horizon) or self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         prev = 0.0
@@ -526,8 +567,7 @@ class History:
         return len(self.arrivals)
 
 
-@dataclass(frozen=True)
-class DiscreteHistory:
+class DiscreteHistory(Value):
     """Observed arrivals on integer slots 1..horizon_slot.
 
     Slots and the horizon are integers: Python or numpy ints, or bools.  A
@@ -541,47 +581,44 @@ class DiscreteHistory:
 
     horizon_slot: int
     arrival_slots: tuple[int, ...] = ()
-    # not a field: neither compared, hashed nor shown
+    # not a field: neither compared, hashed, shown nor pickled
     _array = None
 
-    def __post_init__(self):
+    def __init__(self, horizon_slot: int, arrival_slots=()):
         import numpy as np
 
-        array = self.arrival_slots
+        array = arrival_slots
         if not (isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iu"
                 and np.can_cast(array.dtype, np.intp)):
             array = None
         try:
             if array is None:
-                slots = tuple(map(operator.index, self.arrival_slots))
+                slots = tuple(map(operator.index, arrival_slots))
             else:
                 # a copy: the caller may change its array afterwards
                 array = array.astype(np.intp)
+                array.flags.writeable = False
                 slots = tuple(array.tolist())
-            horizon = operator.index(self.horizon_slot)
+            horizon = operator.index(horizon_slot)
         except TypeError:
             # a value is no integer: find the first one for the message
-            for i, s in enumerate(self.arrival_slots):
+            for i, s in enumerate(arrival_slots):
                 try:
                     operator.index(s)
                 except TypeError:
                     raise ValueError(f"arrival slots must be integers, got {s!r} at index {i}") from None
-            raise ValueError(f"horizon slot must be an integer, got {self.horizon_slot!r}") from None
-        object.__setattr__(self, "arrival_slots", slots)
-        object.__setattr__(self, "horizon_slot", horizon)
+            raise ValueError(f"horizon slot must be an integer, got {horizon_slot!r}") from None
+        self.__dict__.update(horizon_slot=horizon, arrival_slots=slots, _array=array)
         if self.horizon_slot < 1:
             raise ValueError(f"horizon slot must be >= 1, got {self.horizon_slot}")
         if not slots or (slots[0] >= 1 and slots[-1] <= self.horizon_slot and (
                 all(map(operator.lt, slots, slots[1:])) if array is None
                 # a comparison, unlike np.diff, cannot wrap around int64
                 else bool((array[1:] > array[:-1]).all()))):
-            if array is not None:
-                array.flags.writeable = False
-                object.__setattr__(self, "_array", array)
             return
         # the history is invalid: find the first offending slot for the message
         prev = 0
-        for i, s in enumerate(self.arrival_slots):
+        for i, s in enumerate(slots):
             if s <= prev:
                 raise ValueError(f"arrival slots must strictly increase, got {s} at index {i}")
             if s > self.horizon_slot:
@@ -599,12 +636,11 @@ class DiscreteHistory:
 
             array = np.array(self.arrival_slots, dtype=np.intp)
             array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
+            self.__dict__["_array"] = array
         return self._array
 
 
-@dataclass(frozen=True)
-class PosteriorResult:
+class PosteriorResult(Value):
     """Posterior change mass, survival mass, and the resulting intensity.
 
     ``prob_after`` is the posterior probability that the switch already
@@ -616,6 +652,9 @@ class PosteriorResult:
     prob_after: float
     prob_before: float
     intensity: float
+
+    def __init__(self, prob_after: float, prob_before: float, intensity: float):
+        self.__dict__.update(prob_after=prob_after, prob_before=prob_before, intensity=intensity)
 
     @classmethod
     def from_survival(cls, rates: RateSchedule, k: int, survival: float) -> "PosteriorResult":
@@ -640,8 +679,7 @@ def survival_from_log_masses(log_change: float, log_no_change: float) -> float:
     return 1.0 / (1.0 + math.exp(d))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Value):
     """Which admissibility conditions a schedule satisfies up to a bound.
 
     Flags:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -53,6 +52,7 @@ from .core import (
     PosteriorResult,
     PreconditionError,
     RateSchedule,
+    Value,
     shift_operator,
     survival_from_log_masses,
 )
@@ -80,24 +80,23 @@ _ARRAY_PASS_SLOTS = 128
 _EXP_ZERO_BELOW = -750.0
 
 
-@dataclass(frozen=True)
-class DiscreteModel:
+class DiscreteModel(Value):
     """Per-slot arrival probabilities plus a slot-valued switch law."""
 
     rates: RateSchedule
     law: ChangePointLaw
 
-    def __post_init__(self):
-        if self.law.kind != "discrete":
+    def __init__(self, rates: RateSchedule, law: ChangePointLaw):
+        if law.kind != "discrete":
             raise InvalidScheduleError("discrete model needs a slot-hazard switch law")
-        if not self.rates.is_probability_schedule():
+        if not rates.is_probability_schedule():
             raise InvalidScheduleError(
                 "discrete model needs per-slot probabilities in (0, 1) with a repeating tail"
             )
+        self.__dict__.update(rates=rates, law=law)
 
 
-@dataclass(frozen=True)
-class ShiftRatios:
+class ShiftRatios(Value):
     """Multipliers picked up by the switch-slot weights under a single shift.
 
     Moving arrival l one slot later multiplies every weight with switch
@@ -111,8 +110,7 @@ class ShiftRatios:
     delta: float
 
 
-@dataclass(frozen=True)
-class ShiftIdentityReport:
+class ShiftIdentityReport(Value):
     """Measured versus predicted weight ratios for one admissible shift.
 
     ``rel_errors`` holds |measured / predicted - 1| per quantity, keyed

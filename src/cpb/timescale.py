@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .core import PreconditionError, RateSchedule, validate_rates
+from .core import PreconditionError, RateSchedule, Value, validate_rates
 from .continuous import History, PathSample
 
 __all__ = [
@@ -31,14 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeScale:
+class TimeScale(Value):
     """Clock speeds per arrival count, last entry repeating forever."""
 
     gammas: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+    def __init__(self, gammas):
+        self.__dict__["gammas"] = tuple(float(g) for g in gammas)
         if not self.gammas:
             raise ValueError("time scale needs at least one speed")
         for k, g in enumerate(self.gammas):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
 
 from . import continuous as cont
 from . import discrete as disc
@@ -26,6 +25,7 @@ from .core import (
     PreconditionError,
     RateSchedule,
     SearchFailureError,
+    Value,
     shift_operator,
 )
 
@@ -55,8 +55,7 @@ REFINE = 10
 ADDED_ARRIVAL_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Value):
     """Knobs for one randomized monotonicity sweep on ``engine``, "discrete" or "continuous"."""
 
     engine: str = "discrete"
@@ -69,7 +68,8 @@ class SweepConfig:
     # sampler is the hypothesis set under which the sweep must stay clean.
     require_catania: bool = False
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.engine not in ("discrete", "continuous"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.instances < 1:
@@ -86,8 +86,7 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError("tolerance must be finite, got inf")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """A self-contained record of one evaluated pair of histories.
 
     Carries the model and both histories so the recorded values can be
@@ -105,8 +104,7 @@ class Witness:
     margin: float
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Value):
     engine: str
     pairs: int
     violations: tuple[Witness, ...]
@@ -269,8 +267,8 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
 
 def reevaluate(witness: Witness) -> Witness:
     """Recompute a witness's values from its own model and histories."""
-    return replace(witness, **_evaluate_pair(
-        witness.engine, witness.model, witness.history_low, witness.history_high))
+    args = (witness.engine, witness.model, witness.history_low, witness.history_high)
+    return Witness(*args, margin=witness.margin, **_evaluate_pair(*args))
 
 
 # -- added-arrival boundary search --------------------------------------------

@@ -7,7 +7,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -215,8 +214,10 @@ def test_slot_reader_matches_oracle(horizon, arrivals):
             .replace("arrivals = 2, 4", f"arrivals = {arrivals}"))
     source = "slots.cfg"
     try:
-        expected = replace(cli.parse_config(DISCRETE, source),
-                           history=oracle_history(horizon.strip(), arrivals.strip(), source))
+        base = cli.parse_config(DISCRETE, source)
+        expected = cli.ModelConfig(base.scenario, base.rates, base.law,
+                                   oracle_history(horizon.strip(), arrivals.strip(), source),
+                                   base.seed, base.tolerance, base.instances)
     except cli.ConfigError as exc:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(text, source)
@@ -782,14 +783,15 @@ class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy and numpy are most of the start-up time: no import of the
         # package loads them.  The process pool is loaded only by a sweep that
-        # runs on more than one worker.
+        # runs on more than one worker.  The value types are no dataclasses,
+        # whose import loads inspect (and with it ast, dis and tokenize)
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import cpb.cli; "
                 "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules, "
-                "'numpy' in sys.modules)")
+                "'numpy' in sys.modules, 'dataclasses' in sys.modules, 'inspect' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                                 check=True, timeout=120)
-        assert result.stdout.strip() == "False False False"
+        assert result.stdout.strip() == "False False False False False"
 
     def test_weibull_posterior_leaves_scipy_unloaded(self):
         # the weibull segment integral is the package's own rule

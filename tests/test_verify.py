@@ -1,7 +1,6 @@
 """Verification harness: sweeps and searches."""
 
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +196,8 @@ class TestTheorem1Sweep:
         serial = theorem1_sweep(cfg)
         monkeypatch.setenv("THREADS", "2")
         pooled = theorem1_sweep(cfg)
-        for f in fields(SweepReport):
-            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+        for name in SweepReport._fields:
+            assert getattr(pooled, name) == getattr(serial, name), name
         if engine == "continuous":
             assert serial.violations
 
