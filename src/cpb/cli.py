@@ -4,18 +4,19 @@ Subcommands: posterior, simulate, verify, transform, converge.  Inputs are
 flat sectioned key=value files.  A discrete slot list of ASCII digits,
 commas, blanks and tabs is read in one numpy pass; any other list (6.0,
 1e3, +5, junk) token by token, which also writes the error messages.
-``main`` reads the config, then runs the subcommand on it; each subcommand
-returns one ``Table``, and ``main`` writes it as CSV to stdout (or the
-file named by --out) with 17 significant digits, so values round-trip
-losslessly.  ``simulate`` yields one block of CSV text per path while it
-samples, so its memory does not grow with --paths.  ``transform --out``
-names the rewritten config file; its table always goes to stdout.  Exit
-codes: 0 success, 1 a verify suite's verdict failed, 2 config parse
-error, 3 precondition violation, 4 I/O error.  ``main(argv)`` can be
-called repeatedly in one process: it builds its argparse parser once, on
-the first call, and reuses it.  Importing this module loads no numpy:
-each function that needs it imports it where it runs, so exponential,
-table and point-mass posteriors and ``transform`` never load it.
+``main`` refuses an option that the run does not read (``_READS``), reads
+the config, then runs the subcommand on it; each subcommand returns one
+``Table``, and ``main`` writes it as CSV to stdout (or the file named by
+--out) with 17 significant digits, so values round-trip losslessly.
+``simulate`` yields one block of CSV text per path while it samples, so
+its memory does not grow with --paths.  ``transform --out`` names the
+rewritten config file; its table always goes to stdout.  Exit codes: 0
+success, 1 a verify suite's verdict failed, 2 config parse error, 3
+precondition violation, 4 I/O error.  ``main(argv)`` can be called
+repeatedly in one process: it builds its argparse parser once, on the
+first call, and reuses it.  Importing this module loads no numpy: each
+function that needs it imports it where it runs, so exponential, table and
+point-mass posteriors and ``transform`` never load it.
 """
 
 from __future__ import annotations
@@ -340,30 +341,22 @@ def _continuous(config: ModelConfig, what: str):
     return config.continuous_model(), config.history
 
 
-def _grid_factor(value: int | str, option: str) -> int:
-    """A grid factor given as option: an integer >= 1."""
-    try:
-        m = int(value)
-    except ValueError:
-        m = 0
-    if m < 1:
-        raise PreconditionError(f"{option} needs integer grid factors >= 1, got {value}")
-    return m
-
-
-def _grid_factors(m_list: str) -> list[int]:
-    """The grid factors of --m-list: at least one, each an integer >= 1."""
-    factors = [_grid_factor(v, "--m-list") for v in _split_list(m_list)]
-    if not factors:
+def _grid_factors(m_list: str | None) -> list:
+    """The grid factors of --m-list, 16 to 256 when it is not given, each an
+    int where it is written as one: convergence_study checks them."""
+    if m_list is None:
+        return [16, 32, 64, 128, 256]
+    tokens = _split_list(m_list)
+    if not tokens:
         raise PreconditionError(f"--m-list needs at least one grid factor, got {m_list!r}")
-    return factors
+    return [int(v) if v.isdecimal() or v[0] in "+-" and v[1:].isdecimal() else v for v in tokens]
 
 
 def _as_discrete(config: ModelConfig, what: str, m: int | None):
     """The slot-grid model and history for the command or suite named what: a
     discrete config's own, or a continuous one's snapped to grid factor m."""
     if m is not None:
-        _grid_factor(m, "--m")
+        cont._grid_factor(m)
         if config.kind == "discrete":
             raise PreconditionError(
                 "--m applies only to a continuous config: a discrete config has its own slots")
@@ -379,8 +372,6 @@ def _as_discrete(config: ModelConfig, what: str, m: int | None):
 def cmd_posterior(config: ModelConfig, args) -> Table:
     engine = args.engine
     if engine == "continuous":
-        if args.m is not None:
-            raise PreconditionError("--m applies only to the discrete and oracle engines")
         result = cont.intensity(*_continuous(config, "posterior"))
     else:
         model, history = _as_discrete(config, "posterior", args.m)
@@ -429,9 +420,7 @@ def cmd_simulate(config: ModelConfig, args) -> Table:
 
 
 def cmd_verify(config: ModelConfig, args) -> Table:
-    if args.m is not None and args.suite != "identities":
-        raise PreconditionError("--m applies only to the identities suite")
-    return _SUITES[args.suite](config, args)
+    return globals()[f"_verify_{args.suite}"](config, args)
 
 
 def _describe_witness(w: verify.Witness) -> str:
@@ -598,15 +587,6 @@ def _verify_timescale(config: ModelConfig, args) -> Table:
                  all(row[-1] != "fail" for row in rows))
 
 
-_SUITES = {
-    "theorem1": _verify_theorem1,
-    "counterexample": _verify_counterexample,
-    "identities": _verify_identities,
-    "convergence": _verify_convergence,
-    "timescale": _verify_timescale,
-}
-
-
 def cmd_transform(config: ModelConfig, args) -> Table:
     if config.kind != "continuous":
         raise PreconditionError("transform works on continuous configs")
@@ -647,6 +627,35 @@ def cmd_converge(config: ModelConfig, args) -> Table:
                  [cells for _, cells in _convergence_table(config, args.m_list, "converge")])
 
 
+# The options each run reads: per command, the option that picks the run (None
+# if it has one kind of run) and the options read under each of its values.
+# main refuses any other option before it reads the config, and the --help
+# line of an option that only some runs read names them.
+_READS = {
+    "posterior": ("--engine", {"continuous": ["--out"], "discrete": ["--m", "--out"], "oracle": ["--m", "--out"]}),
+    "simulate": (None, {None: ["--paths", "--seed", "--out"]}),
+    "verify": ("--suite", {"theorem1": ["--out"], "counterexample": ["--M", "--out"], "identities": ["--m", "--out"],
+                           "convergence": ["--m-list", "--out"], "timescale": ["--out"]}),
+    "transform": (None, {None: ["--gammas", "--regularize", "--out"]}),
+    "converge": (None, {None: ["--m-list", "--out"]}),
+}
+
+
+def _applies(command: str, option: str) -> str:
+    """The runs of command that read option: "applies only to: verify --suite identities"."""
+    selector, runs = _READS[command]
+    return f"applies only to: {command} {selector} " + "|".join(v for v, reads in runs.items() if option in reads)
+
+
+def _refuse_unread(args) -> None:
+    """Refuse an option given to a run that does not read it: such an option defaults to None."""
+    selector, runs = _READS[args.command]
+    reads = runs[getattr(args, selector[2:]) if selector else None]
+    for option in itertools.chain(*runs.values()):
+        if option not in reads and getattr(args, option[2:].replace("-", "_")) is not None:
+            raise PreconditionError(f"{option} {_applies(args.command, option)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpb",
@@ -656,8 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("posterior", help="posterior switch probabilities and intensity")
     p.add_argument("config")
-    p.add_argument("--engine", choices=["continuous", "discrete", "oracle"], default="continuous")
-    p.add_argument("--m", type=int, default=None, help="slot grid factor for discrete engines")
+    p.add_argument("--engine", choices=list(_READS["posterior"][1]), default="continuous")
+    p.add_argument("--m", type=int, default=None, help="slot grid factor; " + _applies("posterior", "--m"))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="sample paths to CSV")
@@ -668,11 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("config")
-    p.add_argument("--suite", required=True, choices=list(_SUITES))
+    p.add_argument("--suite", required=True, choices=list(_READS["verify"][1]))
     p.add_argument("--M", type=float, default=None,
-                   help="counterexample suite: use the built-in two-level preset with this M")
-    p.add_argument("--m", type=int, default=None, help="identities suite: slot grid factor")
-    p.add_argument("--m-list", default="16,32,64,128,256")
+                   help="the built-in two-level preset with this M; " + _applies("verify", "--M"))
+    p.add_argument("--m", type=int, default=None, help="slot grid factor; " + _applies("verify", "--m"))
+    p.add_argument("--m-list", default=None, help="grid factors; " + _applies("verify", "--m-list"))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("transform", help="rescale the clock and rewrite the config")
@@ -687,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="discretisation error table")
     p.add_argument("config")
-    p.add_argument("--m-list", default="16,32,64,128,256")
+    p.add_argument("--m-list", default=None)
     p.add_argument("--out", default=None)
 
     return parser
@@ -701,6 +710,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _refuse_unread(args)
         config = load_config(args.config)
         # looked up at call time, so a replaced cmd_* attribute is the one that runs
         table = globals()[f"cmd_{args.command}"](config, args)

@@ -188,7 +188,7 @@ def _forward_paths(pairs) -> list[list[tuple[float, float, float]]]:
     pairs go to one ``cpb._weibull`` call, each with its own law, and those
     of any other law to one ``segment_integrals`` call per pair.  A
     stretch's integral does not depend on the others of its call, so a pass
-    has the same bits alone (``_forward``) and among others.  Each step
+    has the same bits alone and among others.  Each step
     costs O(1) (O(log knots) for a table law).
     """
     built = [_stretches(model, h) for model, h in pairs]
@@ -215,11 +215,6 @@ def _forward_paths(pairs) -> list[list[tuple[float, float, float]]]:
     return paths
 
 
-def _forward(model: ContinuousModel, h: History) -> list[tuple[float, float, float]]:
-    """The forward pass of one history (``_forward_paths``)."""
-    return _forward_paths([(model, h)])[0]
-
-
 def _survivals(pairs) -> list[float]:
     """``posterior_survival`` of each (model, history) pair, from one ``_forward_paths`` call."""
     return [survival_from_log_masses(path[-1][1], model.law.log_sf(h.horizon) + path[-1][2])
@@ -239,7 +234,7 @@ def intensity_path(model: ContinuousModel, h: History) -> list[PosteriorResult]:
         PosteriorResult.from_survival(
             rates, min(i + 1, k), survival_from_log_masses(log_change, law.log_sf(instant) + log_stay)
         )
-        for i, (instant, log_change, log_stay) in enumerate(_forward(model, h))
+        for i, (instant, log_change, log_stay) in enumerate(_forward_paths([(model, h)])[0])
     ]
 
 

@@ -776,16 +776,14 @@ def shift_operator(h: DiscreteHistory, i: int) -> DiscreteHistory:
     indices) or the last arrival is not yet at the horizon; otherwise the
     history is returned unchanged.
     """
-    k = h.count
-    if not 1 <= i <= k:
-        raise IndexError(f"shift index {i} outside 1..{k}")
+    if not 1 <= i <= h.count:
+        raise IndexError(f"shift index {i} outside 1..{h.count}")
     slots = list(h.arrival_slots)
-    if i < k:
-        if slots[i] > slots[i - 1] + 1:
-            slots[i - 1] += 1
-            return DiscreteHistory(h.horizon_slot, tuple(slots))
-        return h
-    if slots[k - 1] < h.horizon_slot:
-        slots[k - 1] += 1
-        return DiscreteHistory(h.horizon_slot, tuple(slots))
-    return h
+    return DiscreteHistory(h.horizon_slot, slots) if _shift_slots(slots, i, h.horizon_slot) else h
+
+
+def _shift_slots(slots: list[int], i: int, horizon_slot: int) -> bool:
+    """shift_operator on a list of slots, in place: whether the i-th moved."""
+    moved = slots[i - 1] + 1 < (slots[i] if i < len(slots) else horizon_slot + 1)
+    slots[i - 1] += moved
+    return moved

@@ -26,7 +26,7 @@ from .core import (
     RateSchedule,
     SearchFailureError,
     Value,
-    shift_operator,
+    _shift_slots,
 )
 
 __all__ = [
@@ -184,12 +184,13 @@ def _sample_chunk(cfg: SweepConfig, start: int) -> list:
         n, k, shifts = n.tolist(), k.tolist(), shifts.tolist()
         out = []
         for i in keep:
-            low = high = DiscreteHistory(n[i], sorted(slots[i][:k[i]]))
+            low = DiscreteHistory(n[i], sorted(slots[i][:k[i]]))
+            high = list(low.arrival_slots)
             for index in itertools.islice(indices, shifts[i]):
-                high = shift_operator(high, index)
+                _shift_slots(high, index, n[i])
             law = ChangePointLaw.discrete_hazard(hazards[i][:hazard_counts[i]])
             out.append((disc.DiscreteModel(RateSchedule(pre[i][:sizes[i]], post[i][:sizes[i]]), law),
-                        low, high))
+                        low, DiscreteHistory(n[i], high)))
         return out
     pre = rng.uniform(CONT_RATE_LOW, CONT_RATE_HIGH, size=(rows, width))
     if cfg.require_catania:
@@ -229,14 +230,6 @@ def _sweep_chunk(cfg: SweepConfig, start: int):
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Check monotonicity on randomly drawn comparable history pairs.
 
@@ -246,8 +239,11 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     the chunk's other instances.  So instance i depends on the seed and i
     alone, whatever the instance count or the THREADS worker count.
     """
-    workers = _worker_count()
     starts = range(0, cfg.instances, _CHUNK)
+    try:  # THREADS workers, but no more than there are chunks
+        workers = min(int(os.environ.get("THREADS", "1")), len(starts))
+    except ValueError:
+        workers = 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads the pool
 

@@ -926,6 +926,49 @@ class TestInProcessCalls:
         assert seen == [path]
 
 
+# Every option of every subcommand, by its parser, and a value for each.
+SUBPARSERS = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+OPTION_VALUES = {"--m": ["4"], "--M": ["100"], "--m-list": ["4"], "--out": ["out.csv"],
+                 "--paths": ["3"], "--seed": ["1"], "--gammas": ["2"], "--regularize": []}
+
+
+def options_of(command: str) -> list[str]:
+    """The options of a subcommand's parser, but for --help and the one that picks the run."""
+    selector = cli._READS[command][0]
+    return [a.option_strings[-1] for a in SUBPARSERS[command]._actions
+            if a.option_strings and a.option_strings[-1] not in ("--help", selector)]
+
+
+RUN_OPTIONS = [(command, value, option)
+               for command, (_, runs) in cli._READS.items() for value in runs
+               for option in options_of(command)]
+
+
+@pytest.mark.parametrize("command", list(cli._READS))
+def test_table_lists_only_options_of_the_command(command):
+    runs = cli._READS[command][1]
+    assert {o for reads in runs.values() for o in reads} == set(options_of(command))
+
+
+@pytest.mark.parametrize("command, value, option", RUN_OPTIONS)
+def test_option_accepted_exactly_when_its_run_reads_it(command, value, option, tmp_path, monkeypatch, capsys):
+    # the check comes before the config is read: on a missing config an
+    # option the run reads gets to the i/o error, and any other exits 3
+    monkeypatch.chdir(tmp_path)
+    selector, runs = cli._READS[command]
+    argv = [command, "missing.cfg", *([selector, value] if selector else []), option, *OPTION_VALUES[option]]
+    if command == "transform" and option == "--out":
+        argv.append("--regularize")  # the clock speeds are one of two required options
+    code, out, err = run_cli(capsys, *argv)
+    if option in runs[value]:
+        assert code == cli.EXIT_IO, err
+    else:
+        readers = "|".join(v for v, reads in runs.items() if option in reads)
+        assert (code, out) == (cli.EXIT_PRECONDITION, "")
+        assert err == f"precondition error: {option} applies only to: {command} {selector} {readers}\n"
+
+
 # a window shorter than the coarsest grid slots, with no arrivals
 SHORT_EMPTY = """[rates]
 pre = 1, 1.2

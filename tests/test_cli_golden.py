@@ -94,13 +94,22 @@ CASES = [
     "posterior hazard.cfg --engine discrete --m 4",
     "posterior discrete.cfg --engine oracle --m 4",
     "verify discrete.cfg --suite identities --m 4",
-    # only the discrete and oracle engines and the identities suite go onto
-    # the slot grid: every other command that takes --m refuses it
+    # a run refuses any option that it does not read: --m, read only by the
+    # discrete and oracle engines and the identities suite, --M, read only by
+    # the counterexample suite, and --m-list, read only by the convergence
+    # suite.  The refusal comes before the config is read
     "posterior readme.cfg --m 4",
     "verify readme.cfg --suite theorem1 --m 4",
     "verify readme.cfg --suite counterexample --m 4",
     "verify readme.cfg --suite timescale --m 4",
     "verify closed-form.cfg --suite convergence --m 4",
+    "verify readme.cfg --suite timescale --M 5",
+    "verify closed-form.cfg --suite convergence --M 5",
+    "verify discrete.cfg --suite theorem1 --M 5",
+    "verify readme.cfg --suite timescale --m-list 4",
+    "verify discrete.cfg --suite identities --m-list 3",
+    "verify readme.cfg --suite counterexample --m-list 4",
+    "verify missing.cfg --suite timescale --M 5",
     "converge readme.cfg --m-list 0,4",
     "converge readme.cfg --m-list 4,x",
     "converge readme.cfg --m-list ,",

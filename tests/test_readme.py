@@ -41,3 +41,15 @@ def test_cli_examples_run(command, tmp_path, monkeypatch, capsys):
     assert out.count("\n") >= 2
     if "--out" in command:
         assert cli.load_config("transformed.cfg").rates.size == 2
+
+
+def test_option_table_matches_the_cli():
+    # the README's table of the options each run reads is the one main checks
+    documented = {}
+    for line in re.findall(r"^\| `.*\|$", README, flags=re.M):
+        run, options = (re.findall(r"`([^`]*)`", cell) for cell in line.strip("|").split("|"))
+        command, *picked = run[0].split()
+        for value in picked[1:] + run[1:] or [None]:
+            documented[command, value] = set(options)
+    assert documented == {(command, value): set(reads) for command, (_, runs) in cli._READS.items()
+                          for value, reads in runs.items()}

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 
 from cpb import verify
-from cpb.core import DiscreteHistory, shift_operator
+from cpb.core import DiscreteHistory, _shift_slots
 
 RECORDED = Path(__file__).resolve().parent / "golden" / "sweep-draws.json"
 SEED, INSTANCES = 0, 200
@@ -39,19 +39,22 @@ def draws(mode: str) -> list[dict]:
     """The first INSTANCES draws of one sampler mode, made as the sweep makes them."""
     engine, require_catania = MODES[mode]
     cfg = verify.SweepConfig(engine=engine, instances=INSTANCES, seed=SEED, require_catania=require_catania)
-    # shifts[i]: the shifts applied after the sampler builds instance i's low history
-    shifts = []
+    # the sampler builds instance i's low history, shifts a copy of its
+    # slots, then builds its high one: stamps holds the shift count so far
+    # at each history built, so the shifts of instance i are
+    # stamps[2i + 1] - stamps[2i]
+    stamps, shifted = [], [0]
 
-    def low_history(*args):
-        shifts.append(0)
+    def history(*args):
+        stamps.append(shifted[0])
         return DiscreteHistory(*args)
 
-    def shift(history, index):
-        shifts[-1] += 1
-        return shift_operator(history, index)
+    def shift(*args):
+        shifted[0] += 1
+        return _shift_slots(*args)
 
-    with mock.patch.object(verify, "DiscreteHistory", low_history), \
-            mock.patch.object(verify, "shift_operator", shift):
+    with mock.patch.object(verify, "DiscreteHistory", history), \
+            mock.patch.object(verify, "_shift_slots", shift):
         drawn = [instance for start in range(0, INSTANCES, verify._CHUNK)
                  for instance in verify._sample_chunk(cfg, start)]
     out = []
@@ -59,7 +62,7 @@ def draws(mode: str) -> list[dict]:
         fields = _model_fields(model)
         if engine == "discrete":
             fields.update(n=low.horizon_slot, k=low.count, low=list(low.arrival_slots),
-                          high=list(high.arrival_slots), shifts=shifts[i])
+                          high=list(high.arrival_slots), shifts=stamps[2 * i + 1] - stamps[2 * i])
         else:
             fields.update(horizon=low.horizon, k=low.count, low=list(low.arrivals),
                           high=list(high.arrivals))

@@ -203,22 +203,41 @@ class TestTheorem1Sweep:
 
     @pytest.mark.parametrize("instances", [1, 63, 64, 65, 200])
     def test_chunks_match_single_instances(self, instances, monkeypatch):
-        # the sweep draws and evaluates its instances in chunks of 64; its
-        # report must be the one that the chunk sampler's instances give when
-        # evaluated one at a time, with one worker or two.  A tolerance of -inf makes every
-        # instance a witness, so the report then carries every value, and
-        # each must be what the engines give the witness's own fields
-        for tolerance in (1e-12, -math.inf):
-            cfg = SweepConfig(engine="continuous", instances=instances, seed=7)
-            object.__setattr__(cfg, "tolerance", tolerance)
-            monkeypatch.setenv("THREADS", "1")
-            serial = theorem1_sweep(cfg)
-            assert serial == single_instance_report(cfg)
-            monkeypatch.setenv("THREADS", "2")
-            assert theorem1_sweep(cfg) == serial
-        assert len(serial.violations) == instances
+        # the sweep draws and evaluates its instances in chunks of 64: each
+        # instance's margins must be the ones that its own fields give when
+        # evaluated alone, and the report the one those values make, with
+        # one worker or two.  The sampler without increasing gaps yields
+        # violations, and each witness's values are what the engines give
+        # its own fields
+        cfg = SweepConfig(engine="continuous", instances=instances, seed=7, require_catania=False)
+        chunked = [margins[:2] for start in range(0, instances, 64) for margins in _sweep_chunk(cfg, start)]
+        single = []
+        for model, low, high in chunk_instances(cfg):
+            values = _evaluate_pair("continuous", model, low, high)
+            single.append((values["posterior_low"] - values["posterior_high"],
+                           values["intensity_high"] - values["intensity_low"]))
+        assert chunked == single
+        monkeypatch.setenv("THREADS", "1")
+        serial = theorem1_sweep(cfg)
+        assert serial == single_instance_report(cfg)
+        monkeypatch.setenv("THREADS", "2")
+        assert theorem1_sweep(cfg) == serial
+        assert serial.violations or instances == 1
         for w in serial.violations:
             assert reevaluate(w) == w
+
+    @pytest.mark.parametrize("instances", [1, 50, 64])
+    def test_one_chunk_starts_no_pool(self, instances, monkeypatch):
+        # a sweep of one chunk has no work to share: it runs serially
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk sweep built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("THREADS", "2")
+        cfg = SweepConfig(engine="discrete", instances=instances, seed=3)
+        assert theorem1_sweep(cfg).pairs == instances
 
     def test_continuous_sweep_quadrature_evaluations(self, monkeypatch):
         # a deterministic cost guard on the weibull rule, counted in integrand
