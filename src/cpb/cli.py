@@ -49,7 +49,6 @@ from .core import (
     RateSchedule,
     SearchFailureError,
     Value,
-    shift_operator,
     validate_rates,
 )
 
@@ -341,22 +340,26 @@ def _continuous(config: ModelConfig, what: str):
     return config.continuous_model(), config.history
 
 
+def _grid_token(token: str):
+    """A grid factor's text, an int where it is written as one: continuous._grid_factor checks it."""
+    return int(token) if token.isdecimal() or token[:1] in "+-" and token[1:].isdecimal() else token
+
+
 def _grid_factors(m_list: str | None) -> list:
-    """The grid factors of --m-list, 16 to 256 when it is not given, each an
-    int where it is written as one: convergence_study checks them."""
+    """The grid factors of --m-list, 16 to 256 when it is not given: convergence_study checks them."""
     if m_list is None:
         return [16, 32, 64, 128, 256]
     tokens = _split_list(m_list)
     if not tokens:
         raise PreconditionError(f"--m-list needs at least one grid factor, got {m_list!r}")
-    return [int(v) if v.isdecimal() or v[0] in "+-" and v[1:].isdecimal() else v for v in tokens]
+    return list(map(_grid_token, tokens))
 
 
-def _as_discrete(config: ModelConfig, what: str, m: int | None):
+def _as_discrete(config: ModelConfig, what: str, m: str | None):
     """The slot-grid model and history for the command or suite named what: a
     discrete config's own, or a continuous one's snapped to grid factor m."""
     if m is not None:
-        cont._grid_factor(m)
+        m = cont._grid_factor(_grid_token(m))
         if config.kind == "discrete":
             raise PreconditionError(
                 "--m applies only to a continuous config: a discrete config has its own slots")
@@ -479,36 +482,10 @@ def _verify_counterexample(config: ModelConfig, args) -> Table:
 
 def _verify_identities(config: ModelConfig, args) -> Table:
     model, history = _as_discrete(config, "identities suite", args.m)
-    if config.instances < 1:
-        raise PreconditionError("instances must be >= 1")
-    verify._check_tolerance(config.tolerance)
-    if history.horizon_slot < 2:
-        raise PreconditionError(f"identities suite needs a horizon of at least 2 slots to shift "
-                                f"an arrival, got {history.horizon_slot}")
-    import numpy as np
-
-    rng = np.random.default_rng(config.seed)
-    worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
-    checked = 0
-    attempts = 0
-    while checked < config.instances and attempts < config.instances * 20:
-        attempts += 1
-        n = history.horizon_slot
-        k = int(rng.integers(1, max(2, min(5, n))))
-        slots = tuple(sorted(rng.choice(np.arange(1, n + 1), size=min(k, n), replace=False).tolist()))
-        h = DiscreteHistory(n, slots)
-        l = int(rng.integers(1, h.count + 1))
-        if shift_operator(h, l) == h:
-            continue
-        rep = disc.verify_shift_identities(model, h, l)
-        checked += 1
-        for name, err in rep.rel_errors.items():
-            worst[name] = max(worst[name], err)
-    tol = max(config.tolerance, 1e-12)
+    worst = verify.identities_sweep(model, history.horizon_slot, config.instances, config.seed, config.tolerance)
     return Table(["scenario", "engine", "quantity", "max_rel_error", "status"],
-                 [[config.scenario, "discrete", name, err, _status(err <= tol)]
-                  for name, err in worst.items()],
-                 all(err <= tol for err in worst.values()) and checked > 0)
+                 [[config.scenario, "discrete", name, err, _status(ok)] for name, (err, ok) in worst.items()],
+                 all(ok for _, ok in worst.values()))
 
 
 def _convergence_table(config: ModelConfig, m_list: str, what: str):
@@ -666,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior", help="posterior switch probabilities and intensity")
     p.add_argument("config")
     p.add_argument("--engine", choices=list(_READS["posterior"][1]), default="continuous")
-    p.add_argument("--m", type=int, default=None, help="slot grid factor; " + _applies("posterior", "--m"))
+    p.add_argument("--m", default=None, help="slot grid factor; " + _applies("posterior", "--m"))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="sample paths to CSV")
@@ -680,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(_READS["verify"][1]))
     p.add_argument("--M", type=float, default=None,
                    help="the built-in two-level preset with this M; " + _applies("verify", "--M"))
-    p.add_argument("--m", type=int, default=None, help="slot grid factor; " + _applies("verify", "--m"))
+    p.add_argument("--m", default=None, help="slot grid factor; " + _applies("verify", "--m"))
     p.add_argument("--m-list", default=None, help="grid factors; " + _applies("verify", "--m-list"))
     p.add_argument("--out", default=None)
 

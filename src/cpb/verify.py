@@ -1,16 +1,20 @@
 """Randomized property sweeps and counterexample searches.
 
-The monotonicity sweeps draw admissible models and comparable history
-pairs by construction (never by rejection), 64 instances at a time from
-one generator per (seed, chunk index), and check that later arrivals
-push the posterior survival down and the intensity up.  The searches
-reproduce a boundary phenomenon: an extra arrival can lower the intensity.
+The sweeps draw by construction (never by rejection), 64 instances at a
+time from one generator per (seed, chunk index), on THREADS workers.  The
+monotonicity sweeps draw admissible models and comparable history pairs,
+and check that later arrivals push the posterior survival down and the
+intensity up; the identities sweep draws histories with a shift that can
+move and checks the slot-shift identities of the discrete weights.  The
+searches reproduce a boundary phenomenon: an extra arrival can lower the
+intensity.
 Why windows of different lengths cannot be compared is shown in the tests
 (``TestIntervalMismatch`` in tests/test_verify.py).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -34,6 +38,7 @@ __all__ = [
     "Witness",
     "SweepReport",
     "theorem1_sweep",
+    "identities_sweep",
     "counterexample_added_arrival",
     "added_arrival_witness",
     "added_arrival_search",
@@ -72,14 +77,14 @@ class SweepConfig(Value):
         super().__init__(*args, **kwargs)
         if self.engine not in ("discrete", "continuous"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
-        _check_tolerance(self.tolerance)
+        _check_sweep(self.instances, self.tolerance)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Refuse a tolerance that is not finite and above 0: every comparison
-    with nan is false, and no margin or error exceeds inf."""
+def _check_sweep(instances: int, tolerance: float) -> None:
+    """Refuse no instances, and a tolerance that is not finite and above 0:
+    every comparison with nan is false, and no margin or error exceeds inf."""
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if tolerance == math.inf:
@@ -130,12 +135,23 @@ def _evaluate_pairs(engine: str, instances) -> list[dict[str, float]]:
             for low, high in zip(results[::2], results[1::2])]
 
 
-def _evaluate_pair(engine: str, model, h_low, h_high) -> dict[str, float]:
-    """The four Witness value fields of a history pair in the requested engine."""
-    return _evaluate_pairs(engine, [(model, h_low, h_high)])[0]
-
-
 _CHUNK = 64  # the instances a sweep draws and evaluates together: one pool task
+
+
+def _map_chunks(task, instances: int) -> list:
+    """task(start) for each chunk start 0, 64, ... below instances, on THREADS
+    worker processes, but no more than there are chunks."""
+    starts = range(0, instances, _CHUNK)
+    try:
+        workers = min(int(os.environ.get("THREADS", "1")), len(starts))
+    except ValueError:
+        workers = 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads the pool
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, starts))
+    return [task(start) for start in starts]
 
 
 def _sample_chunk(cfg: SweepConfig, start: int) -> list:
@@ -239,18 +255,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     the chunk's other instances.  So instance i depends on the seed and i
     alone, whatever the instance count or the THREADS worker count.
     """
-    starts = range(0, cfg.instances, _CHUNK)
-    try:  # THREADS workers, but no more than there are chunks
-        workers = min(int(os.environ.get("THREADS", "1")), len(starts))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads the pool
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, [cfg] * len(starts), starts))
-    else:
-        chunks = [_sweep_chunk(cfg, start) for start in starts]
+    chunks = _map_chunks(functools.partial(_sweep_chunk, cfg), cfg.instances)
     post_margins, int_margins, witnesses = zip(*(r for chunk in chunks for r in chunk))
     return SweepReport(
         engine=cfg.engine,
@@ -261,10 +266,51 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     )
 
 
+def _identities_chunk(model, n: int, instances: int, seed: int, start: int) -> dict[str, float]:
+    """The largest relative error of each shift identity over the checks
+    start, start + 1, ... of one chunk, on n slots."""
+    import numpy as np
+
+    rng = np.random.default_rng((seed, start // _CHUNK))
+    worst = dict.fromkeys(("alpha", "gamma_mid", "gamma_tail", "delta"), 0.0)
+    for _ in range(min(_CHUNK, instances - start)):
+        k, s = int(rng.integers(1, max(2, min(5, n)))), int(rng.integers(1, n))
+        # the other k - 1 arrivals among the n - 2 slots that are neither s nor s + 1
+        others = (rng.choice(n - 2, k - 1, replace=False) + 1).tolist()
+        slots = sorted([s, *(v + 2 * (v >= s) for v in others)])
+        report = disc.verify_shift_identities(model, DiscreteHistory(n, slots), slots.index(s) + 1)
+        for name, err in report.rel_errors.items():
+            worst[name] = max(worst[name], err)
+    return worst
+
+
+def identities_sweep(model: disc.DiscreteModel, horizon_slot: int, instances: int,
+                     seed: int, tolerance: float) -> dict[str, tuple[float, bool]]:
+    """Check the shift identities on randomly drawn (history, shift) pairs.
+
+    Returns each identity's largest relative error over instances checks on
+    horizon_slot slots, and whether it is within max(tolerance, 1e-12).
+    Chunks of 64 checks draw from one generator per (seed, chunk index), so
+    check i depends on the seed and i alone, whatever the THREADS worker
+    count.  A check draws k uniform in 1 .. min(4, n - 1), the shifted
+    arrival's slot s in 1 .. n - 1 and the other arrivals off s and s + 1.
+    So each admissible pair with k arrivals is exactly one draw: given k the
+    pairs are uniform, as a rejection sampler's accepted draws are, and only
+    k's weights differ.
+    """
+    _check_sweep(instances, tolerance)
+    if horizon_slot < 2:
+        raise PreconditionError(f"identities suite needs a horizon of at least 2 slots to shift "
+                                f"an arrival, got {horizon_slot}")
+    chunks = _map_chunks(functools.partial(_identities_chunk, model, horizon_slot, instances, seed), instances)
+    worst = {name: max(chunk[name] for chunk in chunks) for name in chunks[0]}
+    return {name: (err, err <= max(tolerance, 1e-12)) for name, err in worst.items()}
+
+
 def reevaluate(witness: Witness) -> Witness:
     """Recompute a witness's values from its own model and histories."""
     args = (witness.engine, witness.model, witness.history_low, witness.history_high)
-    return Witness(*args, margin=witness.margin, **_evaluate_pair(*args))
+    return Witness(*args, margin=witness.margin, **_evaluate_pairs(witness.engine, [args[1:]])[0])
 
 
 # -- added-arrival boundary search --------------------------------------------
@@ -337,5 +383,5 @@ def added_arrival_witness(model: cont.ContinuousModel, t_max: float = 5.0, step:
     h_low, h_high = History(t), History(t, (t1,))
     return Witness(
         "continuous", model, h_low, h_high, margin=found,
-        **_evaluate_pair("continuous", model, h_low, h_high),
+        **_evaluate_pairs("continuous", [(model, h_low, h_high)])[0],
     )

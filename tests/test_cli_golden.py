@@ -89,6 +89,9 @@ CASES = [
     "posterior readme.cfg --engine discrete --m 0",
     "posterior closed-form.cfg --engine discrete --m -3",
     "verify discrete.cfg --suite identities --m 0",
+    # a grid factor that is no integer: --m refuses it as --m-list does
+    "posterior readme.cfg --engine discrete --m 4.5",
+    "verify readme.cfg --suite identities --m 4.5",
     # --m snaps a continuous config to a slot grid: on a discrete config, which
     # has its own slots, each command that takes it refuses it
     "posterior hazard.cfg --engine discrete --m 4",

@@ -8,26 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpb import cli
+from cpb import cli, discrete
 from cpb.core import (
     ChangePointLaw,
+    DiscreteHistory,
     History,
     PreconditionError,
     RateSchedule,
     SearchFailureError,
     history_dominates,
+    shift_operator,
     validate_rates,
 )
 from cpb.continuous import ContinuousModel, convergence_study, discretize, intensity
+from cpb.discrete import DiscreteModel
 from cpb.verify import (
     SweepConfig,
     SweepReport,
     Witness,
-    _evaluate_pair,
+    _evaluate_pairs,
     _sample_chunk,
     _sweep_chunk,
     added_arrival_search,
     counterexample_added_arrival,
+    identities_sweep,
     reevaluate,
     theorem1_sweep,
 )
@@ -75,7 +79,7 @@ def single_instance_report(cfg):
     instances, evaluated one at a time."""
     margins, violations = [], []
     for model, low, high in chunk_instances(cfg):
-        values = _evaluate_pair("continuous", model, low, high)
+        values = _evaluate_pairs("continuous", [(model, low, high)])[0]
         margin = (values["posterior_low"] - values["posterior_high"],
                   values["intensity_high"] - values["intensity_low"])
         margins.append(margin)
@@ -213,7 +217,7 @@ class TestTheorem1Sweep:
         chunked = [margins[:2] for start in range(0, instances, 64) for margins in _sweep_chunk(cfg, start)]
         single = []
         for model, low, high in chunk_instances(cfg):
-            values = _evaluate_pair("continuous", model, low, high)
+            values = _evaluate_pairs("continuous", [(model, low, high)])[0]
             single.append((values["posterior_low"] - values["posterior_high"],
                            values["intensity_high"] - values["intensity_low"]))
         assert chunked == single
@@ -225,19 +229,6 @@ class TestTheorem1Sweep:
         assert serial.violations or instances == 1
         for w in serial.violations:
             assert reevaluate(w) == w
-
-    @pytest.mark.parametrize("instances", [1, 50, 64])
-    def test_one_chunk_starts_no_pool(self, instances, monkeypatch):
-        # a sweep of one chunk has no work to share: it runs serially
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-chunk sweep built a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setenv("THREADS", "2")
-        cfg = SweepConfig(engine="discrete", instances=instances, seed=3)
-        assert theorem1_sweep(cfg).pairs == instances
 
     def test_continuous_sweep_quadrature_evaluations(self, monkeypatch):
         # a deterministic cost guard on the weibull rule, counted in integrand
@@ -307,6 +298,86 @@ class TestTheorem1Sweep:
         )
 
 
+SHIFT_MODEL = DiscreteModel(RateSchedule((0.2, 0.25), (0.5, 0.6)), ChangePointLaw.discrete_hazard((0.1,), 0.1))
+
+
+@pytest.mark.parametrize("instances", [1, 50, 64])
+@pytest.mark.parametrize("sweep", ["theorem1", "identities"])
+def test_one_chunk_starts_no_pool(sweep, instances, monkeypatch):
+    # a sweep of one chunk has no work to share: it runs serially
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk sweep built a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("THREADS", "2")
+    if sweep == "theorem1":
+        assert theorem1_sweep(SweepConfig(engine="discrete", instances=instances, seed=3)).pairs == instances
+    else:
+        assert all(ok for _, ok in identities_sweep(SHIFT_MODEL, 6, instances, 3, 1e-12).values())
+
+
+class TestIdentitiesSweep:
+    @staticmethod
+    def drawn(monkeypatch, horizon_slot, instances, seed=5):
+        """The (arrival slots, shift index) of each check the sweep makes, in order."""
+        check, seen = discrete.verify_shift_identities, []
+
+        def recording(model, h, l):
+            seen.append((tuple(h.arrival_slots), l))
+            return check(model, h, l)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "verify_shift_identities", recording)
+            patch.setenv("THREADS", "1")
+            identities_sweep(SHIFT_MODEL, horizon_slot, instances, seed, 1e-12)
+        return seen
+
+    def test_one_shift_per_check(self, monkeypatch):
+        shift, shifts = discrete.shift_operator, []
+
+        def counting(h, l):
+            shifts.append(l)
+            return shift(h, l)
+
+        monkeypatch.setattr(discrete, "shift_operator", counting)
+        assert len(self.drawn(monkeypatch, 12, 200)) == 200
+        assert len(shifts) == 200
+
+    def test_draws_are_admissible_and_cover_every_pair(self, monkeypatch):
+        # on 4 slots, 12 (history, shift index) pairs can shift: every draw is
+        # one of them, and 2000 draws reach each
+        import itertools
+
+        admissible = set()
+        for k in range(1, 4):
+            for slots in itertools.combinations(range(1, 5), k):
+                h = DiscreteHistory(4, slots)
+                admissible |= {(slots, l) for l in range(1, k + 1) if shift_operator(h, l) != h}
+        assert len(admissible) == 12
+        assert set(self.drawn(monkeypatch, 4, 2000)) == admissible
+
+    def test_draws_do_not_depend_on_the_instance_count(self, monkeypatch):
+        # check i depends on the seed and i alone, and each chunk has a generator of its own
+        draws = self.drawn(monkeypatch, 12, 200)
+        assert self.drawn(monkeypatch, 12, 65) == draws[:65]
+        assert draws[:64] != draws[64:128]
+
+    def test_tolerance_has_a_floor(self):
+        # rounding leaves errors of about 1e-15: a smaller tolerance checks against 1e-12
+        worst = identities_sweep(SHIFT_MODEL, 40, 64, 7, 1e-300)
+        assert all(ok for _, ok in worst.values())
+        assert max(err for err, _ in worst.values()) > 1e-300
+
+    def test_process_pool_matches_serial(self, monkeypatch):
+        monkeypatch.setenv("THREADS", "1")
+        serial = identities_sweep(SHIFT_MODEL, 40, 300, 7, 1e-12)
+        monkeypatch.setenv("THREADS", "2")
+        assert identities_sweep(SHIFT_MODEL, 40, 300, 7, 1e-12) == serial
+        assert all(ok for _, ok in serial.values())
+
+
 class TestAddedArrival:
     def test_stated_preset_has_no_reversal(self):
         # For pre-change rates pinned at 1 and post-change (2, M), the
@@ -356,7 +427,7 @@ class TestIntervalMismatch:
         witnesses = []
         for model in (ContinuousModel(RateSchedule((0.05,), (8.0,)), law_a),
                       ContinuousModel(RateSchedule((1.0,), (1.2,)), law_b)):
-            values = _evaluate_pair("continuous", model, h_short, h_long)
+            values = _evaluate_pairs("continuous", [(model, h_short, h_long)])[0]
             margin = values["posterior_high"] - values["posterior_low"]
             witnesses.append(Witness("continuous", model, h_short, h_long, margin=margin, **values))
         return witnesses
