@@ -72,7 +72,7 @@ class SearchFailureError(RuntimeError):
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 class Value:
@@ -140,18 +140,22 @@ class RateSchedule(Value):
     tail_mode: str = TAIL_REPEAT
 
     def __init__(self, pre_change, post_change, tail_mode: str = TAIL_REPEAT):
-        self.__dict__.update(pre_change=_as_float_tuple(pre_change), post_change=_as_float_tuple(post_change),
-                             tail_mode=tail_mode)
-        if not self.pre_change or not self.post_change:
+        pre, post = _as_float_tuple(pre_change), _as_float_tuple(post_change)
+        self.__dict__.update(pre_change=pre, post_change=post, tail_mode=tail_mode)
+        if not pre or not post:
             raise InvalidScheduleError("rate schedule needs at least one entry per regime")
-        if len(self.pre_change) != len(self.post_change):
-            raise InvalidScheduleError(
-                f"pre/post lists differ in length: {len(self.pre_change)} vs {len(self.post_change)}"
-            )
-        if self.tail_mode not in (TAIL_REPEAT, TAIL_ZERO):
-            raise InvalidScheduleError(f"unknown tail_mode {self.tail_mode!r}")
-        for name, rates in (("pre_change", self.pre_change), ("post_change", self.post_change)):
-            for k, r in enumerate(rates):
+        if len(pre) != len(post):
+            raise InvalidScheduleError(f"pre/post lists differ in length: {len(pre)} vs {len(post)}")
+        if tail_mode not in (TAIL_REPEAT, TAIL_ZERO):
+            raise InvalidScheduleError(f"unknown tail_mode {tail_mode!r}")
+        rates = pre + post
+        # a nan makes the sum nan, wherever it is; without one, min is exact
+        if min(rates) > 0.0 and math.isfinite(sum(rates)):
+            return
+        # find the first entry out of range for the message (a sum that
+        # overflows on finite rates finds none)
+        for name, values in (("pre_change", pre), ("post_change", post)):
+            for k, r in enumerate(values):
                 if not math.isfinite(r) or r <= 0.0:
                     raise InvalidScheduleError(f"{name}[{k}] = {r} is not strictly positive")
 
@@ -208,7 +212,13 @@ class ChangePointLaw(Value):
     stretch (a == b) and one with la = -inf give -inf.  By default it maps
     a family's closed form ``_segment`` over the stretches, and ``Weibull``
     replaces it with the adaptive Gauss-Kronrod rule of ``cpb._weibull``,
-    run on all the stretches at once.  ``cell_hazards(edges)`` gives the
+    run on all the stretches at once.  ``array_segment_integrals`` takes
+    and gives numpy columns, for the forward pass of a long history, which
+    runs it under ``np.errstate`` (its degenerate stretches take the log of
+    0, or overflow); by default it calls ``segment_integrals`` on them, and
+    the exponential, point-mass and table families evaluate their closed
+    forms on all the columns at once (the table's split at its knots).
+    ``cell_hazards(edges)`` gives the
     probability of switching within each cell between consecutive edges,
     given no switch before it; by default it maps ``sf``, and ``Weibull``
     replaces it with numpy on its log survival.  The discrete family
@@ -242,6 +252,11 @@ class ChangePointLaw(Value):
 
     def segment_integrals(self, a, b, la, lb, slope) -> list[float]:
         return list(map(self._segment, a, b, la, lb, slope))
+
+    def array_segment_integrals(self, a, b, la, lb, slope) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.segment_integrals(a, b, la, lb, slope), dtype=float)
 
     def cell_hazards(self, edges) -> np.ndarray:
         import numpy as np
@@ -294,6 +309,10 @@ class Exponential(ChangePointLaw):
     def _segment(self, a, b, la, lb, slope):
         rho, log_rho = self.rate, math.log(self.rate)
         return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
+
+    def array_segment_integrals(self, a, b, la, lb, slope):
+        rho, log_rho = self.rate, math.log(self.rate)
+        return _log_integral_affine_array(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
 
 
 class Weibull(ChangePointLaw):
@@ -363,6 +382,16 @@ class PointMass(ChangePointLaw):
             return -math.inf
         return lb if u0 == b else la + slope * (u0 - a)
 
+    def array_segment_integrals(self, a, b, la, lb, slope):
+        import numpy as np
+
+        out = np.full(len(a), -math.inf)
+        # only the first stretch that ends at or after the location can hold it
+        i = int(b.searchsorted(self.location))
+        if i < len(a):
+            out[i] = self._segment(*(float(column[i]) for column in (a, b, la, lb, slope)))
+        return out
+
 
 class Table(ChangePointLaw):
     """Piecewise-linear distribution function through (time, probability)
@@ -424,7 +453,10 @@ class Table(ChangePointLaw):
         return Table(tuple((s * factor, g) for s, g in self.knots))
 
     def _segment(self, a, b, la, lb, slope):
-        # closed form on each knot interval that (a, b) meets
+        # closed form on each knot interval that (a, b) meets; with no
+        # likelihood at a, slope * (hi - a) may overflow, and inf - inf is nan
+        if la == -math.inf:
+            return -math.inf
         knots = self.knots
         total = -math.inf
         j = bisect.bisect_right(knots, (a, math.inf))  # first knot after a
@@ -437,6 +469,39 @@ class Table(ChangePointLaw):
                     la + slope * (lo - a) + log_d, la + slope * (hi - a) + log_d, hi - lo))
             j += 1
         return total
+
+    def array_segment_integrals(self, a, b, la, lb, slope):
+        # _segment on numpy columns: each stretch split at the knots into one
+        # piece per knot interval it meets, in order, and its pieces' closed
+        # forms summed in log space
+        import numpy as np
+
+        knots = self.knots
+        times = np.array([s for s, _ in knots])
+        # the log density on each knot interval, -inf where it is flat
+        log_d = np.array([_log((g1 - g0) / (s1 - s0)) for (s0, g0), (s1, g1) in zip(knots, knots[1:])])
+        first = times.searchsorted(a, side="right") - 1  # the interval that a stretch starts in
+        count = times.searchsorted(b)  # one past the last interval that it meets
+        np.minimum(count, len(log_d), out=count)
+        count -= first
+        np.maximum(count, 0, out=count)
+        out = np.full(len(a), -math.inf)
+        if not np.count_nonzero(count):
+            return out
+        start = np.cumsum(count)
+        start -= count
+        stretch = np.repeat(np.arange(len(a)), count)
+        q = np.repeat(first - start, count)
+        q += np.arange(len(q))
+        a_p, la_p, slope_p, ld = a[stretch], la[stretch], slope[stretch], log_d[q]
+        lo, hi = np.maximum(a_p, times[q]), np.minimum(b[stretch], times[q + 1])
+        piece = _log_integral_affine_array(
+            la_p + slope_p * (lo - a_p) + ld, la_p + slope_p * (hi - a_p) + ld, hi - lo)
+        # a flat interval adds nothing, nor a stretch without likelihood at a
+        np.copyto(piece, -math.inf, where=(ld == -math.inf) | (la_p == -math.inf))
+        met = count > 0
+        out[met] = np.logaddexp.reduceat(piece, start[met])
+        return out
 
 
 class Hazard(ChangePointLaw):
@@ -534,6 +599,27 @@ def _log_integral_affine(log_a: float, log_b: float, width: float) -> float:
         return 0.5 * (log_a + log_b) + math.log(width)
     hi = max(log_a, log_b)
     return hi + math.log1p(-math.exp(-abs(d))) - math.log(abs(d)) + math.log(width)
+
+
+def _log_integral_affine_array(log_a, log_b, width) -> np.ndarray:
+    """``_log_integral_affine`` on numpy columns, with the same branches; the
+    log of 0 and inf - inf in the branches it overwrites are left to the
+    caller's ``np.errstate``."""
+    import numpy as np
+
+    d = np.abs(log_b - log_a)
+    log_width = np.log(width)
+    hi = np.maximum(log_a, log_b)
+    out = np.log1p(-np.exp(-d))
+    out += hi
+    out -= np.log(d)
+    out += log_width
+    flat = d < 1e-7
+    if np.count_nonzero(flat):
+        np.copyto(out, 0.5 * (log_a + log_b) + log_width, where=flat)
+    # hi is -inf where both ends are (and nan where either is)
+    np.copyto(out, -math.inf, where=(width <= 0.0) | (hi == -math.inf))
+    return out
 
 
 class History(Value):

@@ -824,6 +824,26 @@ class TestImports:
                 "    print(code, 'numpy' in sys.modules)")
         assert self.run_fresh(body) == ["0 False"] * len(runs)
 
+    @pytest.mark.parametrize("family, params", [
+        ("exponential", "rate = 0.5"), ("table", "knots = 2.0:0.5, 90.0:1.0"), ("point-mass", "location = 3.0")])
+    def test_long_closed_form_posteriors_load_numpy_at_first_use(self, tmp_path, family, params):
+        # from _ARRAY_PASS_ARRIVALS arrivals on, the forward pass runs in
+        # numpy, which loads then; one arrival fewer keeps the loop, and a
+        # process without numpy
+        k = cont._ARRAY_PASS_ARRIVALS
+        runs = []
+        for count in (k - 1, k):
+            arrivals = ", ".join(str(0.5 * (i + 1)) for i in range(count))
+            path = tmp_path / f"{family}-{count}.cfg"
+            path.write_text("[rates]\npre = 1.0, 1.5\npost = 2.0, 3.0\n[changepoint]\n"
+                            f"family = {family}\n{params}\n[history]\nhorizon = 80\narrivals = {arrivals}\n")
+            runs.append(["posterior", str(path)])
+        body = (f"for argv in {runs!r}:\n"
+                "    with redirect_stdout(io.StringIO()):\n"
+                "        code = cli.main(argv)\n"
+                "    print(code, 'numpy' in sys.modules)")
+        assert self.run_fresh(body) == ["0 False", "0 True"]
+
     @pytest.mark.parametrize("command", ["posterior weibull.cfg", "posterior hazard.cfg --engine discrete"])
     def test_numpy_commands_load_it_at_first_use(self, command):
         # the weibull rule and the discrete engine import numpy when they

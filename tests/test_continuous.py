@@ -15,10 +15,12 @@ from scipy import integrate, stats
 
 import cpb._weibull as weibull_module
 import cpb.continuous as continuous_module
+import cpb.verify as verify_module
 from cpb.core import (
     TAIL_REPEAT,
     TAIL_ZERO,
     ChangePointLaw,
+    DegenerateModelError,
     History,
     PreconditionError,
     RateSchedule,
@@ -33,7 +35,7 @@ from cpb.continuous import (
     posterior_survival,
     sample_path,
 )
-from cpb.cli import load_config
+from cpb.cli import ConfigError, load_config
 from cpb.discrete import posterior_survival as discrete_posterior
 
 GOLDEN_CFG = Path(__file__).resolve().parent / "golden" / "cfg"
@@ -423,6 +425,151 @@ def test_gauss_kronrod_constants_integrate_monomials():
         assert abs(kronrod @ powers - 1.0 / (degree + 1)) < 1e-14, degree
         if degree <= 19:
             assert abs((kronrod - difference) @ powers - 1.0 / (degree + 1)) < 1e-14, degree
+
+
+K = continuous_module._ARRAY_PASS_ARRIVALS
+FAMILIES = ("exponential", "weibull", "table", "point-mass", "flat")
+
+
+def long_case(family, k, seed=0):
+    """A k-arrival history sampled from a model whose switch falls near the
+    middle of its window, with post-change rates 5% above the pre-change
+    ones: the posterior stays undecided over many arrivals.  "flat" is the
+    exponential law whose rate is post - pre, so that every stretch's
+    integrand is flat (the |d| < 1e-7 branch of the closed form)."""
+    if family == "flat":
+        model = ContinuousModel(RateSchedule((1.0,), (2.0,)), ChangePointLaw.exponential(1.0))
+        arrivals = sample_path(model, max_arrivals=k, seed=seed).arrival_times
+        return model, History(arrivals[-1] + 0.5, arrivals)
+    rates = RateSchedule((0.8, 1.0, 1.2), (0.84, 1.05, 1.26))
+    span = k / 1.2  # about the window of k arrivals
+    laws = {
+        "exponential": ChangePointLaw.exponential(2.0 / span),
+        "weibull": ChangePointLaw.weibull(1.5, span / 2),
+        "table": ChangePointLaw.table([(span / 8, 0.1), (span / 3, 0.3), (span / 3 * 2, 0.7), (span * 4, 1.0)]),
+        "point-mass": ChangePointLaw.point_mass(span / 2),
+    }
+    model = ContinuousModel(rates, laws[family])
+    arrivals = sample_path(model, max_arrivals=k, seed=seed).arrival_times
+    return model, History(arrivals[-1] + 0.5, arrivals)
+
+
+PASSES = {"array": lambda m, h: continuous_module._array_path(m, h),
+          "loop": lambda m, h: continuous_module._loop_paths([(m, h)])[0]}
+
+
+def force_pass(patch, name):
+    """Run every forward pass on the named pass, whatever the arrival count."""
+    one = PASSES[name]
+    patch.setattr(continuous_module, "_forward_paths", lambda pairs, whole=True: [one(m, h) for m, h in pairs])
+
+
+@pytest.mark.parametrize("k", [K - 1, K, K + 1, 1000, 10_000])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_array_pass_matches_the_loop_across_the_threshold(family, k, monkeypatch):
+    # the instants and log_stay keep their bits; log_change differs by the
+    # closed forms' and the fold's rounding, within 1e-12 of its size, and
+    # the posterior and intensity at every prefix within 1e-9.  None of
+    # these histories sends the array pass back to the loop
+    model, h = long_case(family, k)
+    assert h.count == k
+    loop = continuous_module._loop_paths([(model, h)])[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(continuous_module, "_loop_paths", lambda pairs: pytest.fail("the array pass fell back"))
+        array = continuous_module._array_path(model, h)
+    assert [(t, stay) for t, _, stay in array] == [(t, stay) for t, _, stay in loop]
+    for (_, got, _), (_, want, _) in zip(array, loop):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    paths = []
+    for name in PASSES:
+        with monkeypatch.context() as patch:
+            force_pass(patch, name)
+            paths.append(intensity_path(model, h))
+    fast, slow = paths
+    assert len(fast) == len(slow) == k + 1
+    for got, want in zip(fast, slow):
+        for field in ("prob_before", "prob_after", "intensity"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-300)
+    # the dispatch: from K arrivals on the array pass, below it the loop
+    expected = (array if k >= K else loop)[-1]
+    assert continuous_module._forward_paths([(model, h)])[0][-1] == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_array_stretches_keep_the_loop_bits(family):
+    # a, b, la, lb, slope, step and log_stay are the loop's, also on a
+    # zero tail (logs of -inf past the listed counts) and on a schedule
+    # that lists more counts than the history reaches
+    model, h = long_case(family, 3 * K)
+    k = h.count
+    for rates in (model.rates, RateSchedule((0.8, 1.0, 1.2), (0.84, 1.05, 1.26), TAIL_ZERO),
+                  RateSchedule(np.linspace(0.5, 2.0, 5 * K), np.linspace(1.0, 3.0, 5 * K))):
+        case = ContinuousModel(rates, model.law)
+        stretches, trail = continuous_module._stretches(case, h)
+        *columns, step, log_stay = continuous_module._array_stretches(case, h)
+        for i, column in enumerate(columns):
+            assert column[:k + 1].tolist() == [s[i] for s in stretches]
+        assert step[:k + 1].tolist() == [step for _, step, _ in trail]
+        assert log_stay[1:k + 2].tolist() == [stay for _, _, stay in trail]
+
+
+def degenerate_cases():
+    """Long histories with degenerate stretches: an arrival on the horizon
+    (an empty last stretch), arrivals one float step apart (History refuses
+    exact ties), a post-change rate whose product with a width overflows
+    (la = -inf, a step of -inf), a pre-change rate whose products sum past
+    the float range (log_stay = -inf), and a zero tail that the history
+    overruns."""
+    arrivals = [0.5 * (i + 1) for i in range(2 * K)]
+    near = list(arrivals)
+    for i in range(0, 2 * K, 4):
+        near[i + 1] = math.nextafter(near[i], math.inf)
+    rates = RateSchedule((1.0, 1.5), (2.0, 3.0))
+    for family_law in (ChangePointLaw.exponential(0.1), ChangePointLaw.weibull(1.5, 8.0),
+                       ChangePointLaw.point_mass(4.0), ChangePointLaw.table([(4.0, 0.5), (40.0, 1.0)])):
+        yield ContinuousModel(rates, family_law), History(arrivals[-1], arrivals)
+        yield ContinuousModel(rates, family_law), History(near[-1] + 1.0, near)
+        yield ContinuousModel(RateSchedule((1.0, 1.5), (2.0, 1e308)), family_law), History(40.0, arrivals)
+        yield ContinuousModel(RateSchedule((1.0, 1e308), (2.0, 3.0)), family_law), History(40.0, arrivals)
+        yield ContinuousModel(RateSchedule((1.0,) * K, (2.0,) * K, TAIL_ZERO), family_law), History(40.0, arrivals)
+
+
+@pytest.mark.parametrize("case", list(degenerate_cases()))
+def test_degenerate_stretches_give_the_loop_result(case, monkeypatch):
+    # the same finite survival from both passes, or from both the same
+    # DegenerateModelError.  The array pass warns on none of them; the
+    # loop's weibull rule warns (overflow in add) where la nears -1.8e308,
+    # and its warnings are only recorded
+    model, h = case
+    outcomes = []
+    for name in PASSES:
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=name == "loop"):
+            force_pass(patch, name)
+            warnings.simplefilter("error" if name == "array" else "always")
+            try:
+                outcomes.append(posterior_survival(model, h))
+            except DegenerateModelError as exc:
+                outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_sweeps_and_goldens_stay_on_the_loop():
+    # the theorem1 sweeps draw at most MAX_COUNT arrivals, and every
+    # continuous golden config has fewer than K: their bytes come from the loop
+    assert K > verify_module.MAX_COUNT
+    counts = []
+    for path in sorted(GOLDEN_CFG.glob("*.cfg")):
+        try:
+            config = load_config(str(path))
+        except ConfigError:
+            continue
+        if config.kind == "continuous" and config.history is not None:
+            counts.append(config.history.count)
+    assert counts and K > max(counts)
 
 
 class TestSamplePath:
