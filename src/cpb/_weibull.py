@@ -1,9 +1,10 @@
 """The weibull law's segment integrals: an adaptive Gauss-Kronrod rule.
 
-``segment_integrals`` here takes stretches (a, b], each under its own law:
-those of every weibull history of a set of forward passes at once
-(``continuous._forward_paths``), or those of one law
-(``Weibull.segment_integrals``).  Each constant that a law sets below
+``segment_integrals`` here takes stretches (a, b], each under its own law,
+and gives their log integrals as a float array: those of every weibull
+history of a set of short forward passes at once
+(``continuous._loop_paths``), or those of one law, a long history's
+columns (``Weibull.segment_integrals``).  Each constant that a law sets below
 (u_max, j, the mapped variable, the break points) is its stretch's own, and
 a stretch's result does not depend on the others of its call.  The rule is
 the 10-point Gauss and 21-point Kronrod pair of QUADPACK's qk21 (Kronrod 1965;
@@ -89,7 +90,7 @@ _LOG_POWER_MAX = 1000.0 * math.log(2.0)
 _MAPPED_BELOW = 0.25
 
 
-def segment_integrals(laws, a, b, la, slope) -> list[float]:
+def segment_integrals(laws, a, b, la, slope) -> np.ndarray:
     # laws: (shape, scale, count) of each run of consecutive stretches
     # under one law.  The rows of k: a, b (at most u_max), la, slope, the
     # constants of _weibull_log_integrand, then log(shape / scale), shape
@@ -109,7 +110,7 @@ def segment_integrals(laws, a, b, la, slope) -> list[float]:
     live = (k[0] < k[1]) & (k[2] > -math.inf)
     out = np.full(len(a), -math.inf)
     out[live] = _weibull_batch(k[:, live])
-    return out.tolist()
+    return out
 
 
 def _weibull_batch(k: np.ndarray) -> np.ndarray:

@@ -4,12 +4,12 @@ Given an observed history, the conditional likelihood of "the switch
 happened at u" factorises into the active rate at each arrival instant
 times the exponential of minus the integrated active rate over the window.
 Between consecutive arrival instants the log likelihood is affine in u, so
-the posterior reduces to per-stretch integrals against the switch law.
-Each law class gives those of all the stretches of a history in one call,
-``segment_integrals`` (-inf for an empty stretch and for one without
-likelihood at its start): closed form for the exponential and table
-families, exact evaluation for point masses, and for the weibull density
-the adaptive Gauss-Kronrod rule described in ``cpb._weibull``.
+the posterior reduces to per-stretch integrals against the switch law
+(-inf for an empty stretch and for one without likelihood at its start),
+through the two stretch methods of the ``ChangePointLaw`` contract: closed
+form for the exponential and table families, exact evaluation for point
+masses, and for the weibull density the adaptive Gauss-Kronrod rule
+described in ``cpb._weibull``.
 
 The engine evaluates them in one forward pass over the arrivals, the
 continuous form of Shiryaev's Bayesian change-point filter.  The pass
@@ -22,13 +22,13 @@ the posterior and intensity at every arrival instant (``intensity_path``).
 The pass runs in one of two ways:
 
 - below 40 arrivals (``_ARRAY_PASS_ARRIVALS``), a Python loop with no
-  numpy (but the weibull rule's): the passes of many histories run
-  together (``_forward_paths``, on a chunk of theorem1 sweep instances),
-  with one integral call for all their weibull stretches, so that the
-  rule's fixed numpy cost is paid once;
+  numpy (but the weibull rule's) that maps each law's ``_segment``: the
+  passes of many histories run together (``_forward_paths``, on a chunk
+  of theorem1 sweep instances), with one integral call for all their
+  weibull stretches, so that the rule's fixed numpy cost is paid once;
 - from 40 arrivals on, numpy columns: the stretches keep the loop's bits,
-  each law evaluates its closed form on all of them at once
-  (``array_segment_integrals``), and the fold runs as cumulative sums,
+  each law evaluates its integrals on all of them at once
+  (``segment_integrals``), and the fold runs as cumulative sums,
   re-based every 40 stretches.  About 40 us of fixed cost, then
   0.13-0.22 us per arrival for the closed-form laws, against 0.8-2.2 us
   for the loop.
@@ -208,11 +208,14 @@ def _forward_paths(pairs, whole: bool = True) -> list[list[tuple[float, float, f
 
     - below ``_ARRAY_PASS_ARRIVALS`` arrivals, a Python loop: ``_stretches``
       builds the stretches of every pair, those of all the weibull pairs go
-      to one ``cpb._weibull`` call, each with its own law, and those of any
-      other law to one ``segment_integrals`` call per pair;
+      to one ``cpb._weibull`` call, each with its own law, and the law's
+      ``_segment`` takes each stretch of any other pair;
     - from ``_ARRAY_PASS_ARRIVALS`` arrivals on, ``_array_path`` builds one
       history's stretches as numpy columns and hands them to the law's
-      ``array_segment_integrals``.
+      ``segment_integrals``.
+
+    Both passes run the law's numpy under the same ``np.errstate``, so that
+    neither warns on a degenerate stretch.
 
     A stretch's integral does not depend on the others of its call, so a
     pass has the same bits alone and among others.
@@ -227,17 +230,20 @@ def _loop_paths(pairs) -> list[list[tuple[float, float, float]]]:
     weibull = [(model.law, stretches) for (model, _), (stretches, _) in zip(pairs, built)
                if isinstance(model.law, Weibull)]
     if weibull:
+        import numpy as np
+
         from . import _weibull
 
         a, b, la, _, slope = zip(*itertools.chain.from_iterable(stretches for _, stretches in weibull))
         laws = [(law.shape, law.scale, len(stretches)) for law, stretches in weibull]
-        flat = iter(_weibull.segment_integrals(laws, a, b, la, slope))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            flat = iter(_weibull.segment_integrals(laws, a, b, la, slope).tolist())
     paths = []
     for (model, _), (stretches, trail) in zip(pairs, built):
         if isinstance(model.law, Weibull):
             mass = itertools.islice(flat, len(stretches))
         else:
-            mass = model.law.segment_integrals(*zip(*stretches))
+            mass = itertools.starmap(model.law._segment, stretches)
         log_change = -math.inf
         path = []
         for (b, step, log_stay), m in zip(trail, mass):
@@ -249,7 +255,7 @@ def _loop_paths(pairs) -> list[list[tuple[float, float, float]]]:
 
 def _array_path(model: ContinuousModel, h: History, whole: bool = True) -> list[tuple[float, float, float]]:
     """``_forward_paths`` of one pair, on numpy columns: the stretches of
-    ``_array_stretches``, the law's ``array_segment_integrals`` and the fold
+    ``_array_stretches``, the law's ``segment_integrals`` and the fold
     of ``_array_fold``; only its last entry unless whole.  A running sum
     that leaves the float range (a step of -inf, where a rate or its
     product with a width does) sends the pair to the loop's pass."""
@@ -258,7 +264,7 @@ def _array_path(model: ContinuousModel, h: History, whole: bool = True) -> list[
     k = h.count
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a, b, la, lb, slope, step, log_stay = _array_stretches(model, h)
-        log_change = _array_fold(step, model.law.array_segment_integrals(a, b, la, lb, slope))
+        log_change = _array_fold(step, model.law.segment_integrals(a, b, la, lb, slope))
     last = float(log_change[k])
     if not last < math.inf:
         return _loop_paths([(model, h)])[0]

@@ -204,29 +204,33 @@ class ChangePointLaw(Value):
     One ``Value`` subclass per family.  Its fields are its parameters
     (``params()``, and the keys of a config file), and it checks them.
     The continuous families ``Exponential``, ``Weibull``, ``PointMass`` and
-    ``Table`` give ``cdf``, ``sf``, ``log_sf``, ``ppf``, ``scaled_time`` and
-    ``segment_integrals(a, b, la, lb, slope)``: equal-length sequences, one
-    entry per stretch, and the list of the logs of the integrals of
-    exp(la + slope (u - a)) against the law over the switch times u in
-    (a, b], with la and lb the integrand's log values at a and b.  An empty
-    stretch (a == b) and one with la = -inf give -inf.  By default it maps
-    a family's closed form ``_segment`` over the stretches, and ``Weibull``
-    replaces it with the adaptive Gauss-Kronrod rule of ``cpb._weibull``,
-    run on all the stretches at once.  ``array_segment_integrals`` takes
-    and gives numpy columns, for the forward pass of a long history, which
-    runs it under ``np.errstate`` (its degenerate stretches take the log of
-    0, or overflow); by default it calls ``segment_integrals`` on them, and
-    the exponential, point-mass and table families evaluate their closed
-    forms on all the columns at once (the table's split at its knots).
-    ``cell_hazards(edges)`` gives the
-    probability of switching within each cell between consecutive edges,
-    given no switch before it; by default it maps ``sf``, and ``Weibull``
-    replaces it with numpy on its log survival.  The discrete family
-    ``Hazard`` gives ``hazard``, and ``sf``/``log_sf`` at an integer slot.
-    An operation of the other kind raises ValueError.
+    ``Table`` give ``cdf``, ``sf``, ``log_sf``, ``ppf`` and ``scaled_time``;
+    ``sf`` is ``exp(log_sf)`` and ``log_sf`` is the log of ``sf``, so a
+    family writes one of the two.  Two stretch methods link a family to
+    the forward passes of ``cpb.continuous``, on a stretch (a, b] with la
+    and lb the log values at a and b of the integrand exp(la + slope (u - a))
+    over the switch times u:
 
-    A new family is one subclass plus its entry in ``LAWS``; a continuous
-    one writes ``_segment`` for one stretch or ``segment_integrals``.  The
+    - ``_segment(a, b, la, lb, slope)``: the log of the integral of that
+      integrand against the law, for one stretch, in pure Python; the
+      loop pass maps it over a short history's stretches;
+    - ``segment_integrals(a, b, la, lb, slope)``: the same on numpy
+      columns, one entry per stretch, as a float array; the array pass
+      calls it on a long history's columns under ``np.errstate`` (a
+      degenerate stretch may take the log of 0, or overflow).
+
+    An empty stretch (a == b) and one with la = -inf give -inf.  ``Weibull``
+    has no closed form and writes only ``segment_integrals``, the adaptive
+    Gauss-Kronrod rule of ``cpb._weibull``; the loop pass sends the
+    stretches of many weibull histories to that rule in one call.
+    ``cell_hazards(edges)`` gives the probability of switching within each
+    cell between consecutive edges, given no switch before it; by default
+    it maps ``sf``, and ``Weibull`` replaces it with numpy on its log
+    survival.  The discrete family ``Hazard`` gives ``hazard``, and
+    ``sf``/``log_sf`` at an integer slot.  An operation of the other kind
+    raises ValueError.
+
+    A new family is one subclass plus its entry in ``LAWS``.  The
     constructors ``ChangePointLaw.exponential``, ``.weibull``,
     ``.point_mass``, ``.table`` and ``.discrete_hazard`` are the classes.
     """
@@ -248,15 +252,7 @@ class ChangePointLaw(Value):
     def _other_kind(self, *args):
         raise ValueError(f"operation does not apply to a {self.kind} law ({self.family})")
 
-    cdf = _ppf = _scaled_time = _segment = hazard = _other_kind
-
-    def segment_integrals(self, a, b, la, lb, slope) -> list[float]:
-        return list(map(self._segment, a, b, la, lb, slope))
-
-    def array_segment_integrals(self, a, b, la, lb, slope) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.segment_integrals(a, b, la, lb, slope), dtype=float)
+    cdf = _ppf = _scaled_time = _segment = segment_integrals = hazard = _other_kind
 
     def cell_hazards(self, edges) -> np.ndarray:
         import numpy as np
@@ -267,7 +263,8 @@ class ChangePointLaw(Value):
 
     def sf(self, x: float) -> float:
         """Probability that the switch happens strictly after x."""
-        return 1.0 - self.cdf(x)
+        # from the log: 1 - cdf reads 0.0 in the tail, where the survival is not
+        return math.exp(self.log_sf(x))
 
     def log_sf(self, x: float) -> float:
         return _log(self.sf(x))
@@ -310,7 +307,7 @@ class Exponential(ChangePointLaw):
         rho, log_rho = self.rate, math.log(self.rate)
         return _log_integral_affine(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
 
-    def array_segment_integrals(self, a, b, la, lb, slope):
+    def segment_integrals(self, a, b, la, lb, slope):
         rho, log_rho = self.rate, math.log(self.rate)
         return _log_integral_affine_array(la + log_rho - rho * a, lb + log_rho - rho * b, b - a)
 
@@ -327,10 +324,6 @@ class Weibull(ChangePointLaw):
 
     def cdf(self, x: float) -> float:
         return -math.expm1(-_power(x / self.scale, self.shape)) if x > 0.0 else 0.0
-
-    def sf(self, x: float) -> float:
-        # from the log: 1 - cdf reads 0.0 in the tail, where the survival is not
-        return math.exp(self.log_sf(x))
 
     def log_sf(self, x: float) -> float:
         return -_power(x / self.scale, self.shape) if x > 0.0 else 0.0
@@ -369,6 +362,9 @@ class PointMass(ChangePointLaw):
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.location else 0.0
 
+    def sf(self, x: float) -> float:
+        return 1.0 - self.cdf(x)  # exact: the cdf is 0 or 1
+
     def _ppf(self, q: float) -> float:
         return self.location
 
@@ -382,13 +378,12 @@ class PointMass(ChangePointLaw):
             return -math.inf
         return lb if u0 == b else la + slope * (u0 - a)
 
-    def array_segment_integrals(self, a, b, la, lb, slope):
+    def segment_integrals(self, a, b, la, lb, slope):
         import numpy as np
 
         out = np.full(len(a), -math.inf)
-        # only the first stretch that ends at or after the location can hold it
-        i = int(b.searchsorted(self.location))
-        if i < len(a):
+        # only a stretch around the location can hold it: one, in a forward pass
+        for i in np.flatnonzero((a < self.location) & (self.location <= b)).tolist():
             out[i] = self._segment(*(float(column[i]) for column in (a, b, la, lb, slope)))
         return out
 
@@ -470,7 +465,7 @@ class Table(ChangePointLaw):
             j += 1
         return total
 
-    def array_segment_integrals(self, a, b, la, lb, slope):
+    def segment_integrals(self, a, b, la, lb, slope):
         # _segment on numpy columns: each stretch split at the knots into one
         # piece per knot interval it meets, in order, and its pieces' closed
         # forms summed in log space
@@ -541,10 +536,6 @@ class Hazard(ChangePointLaw):
         if m < 1:
             raise IndexError(f"slot index must be >= 1, got {m}")
         return self.values[m - 1] if m <= len(self.values) else self.tail
-
-    def sf(self, n: int) -> float:
-        """P(switch slot > n)."""
-        return math.exp(self.log_sf(n))
 
     def log_sf(self, n: int) -> float:
         """log P(switch slot > n): sum of log(1 - hazard) over slots 1..n."""

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpb.core import (
+    LAWS,
     ChangePointLaw,
     DiscreteHistory,
     History,
@@ -24,9 +25,14 @@ from cpb.core import (
 )
 
 
+def columns(*stretches):
+    """The columns a, b, la, lb, slope of the stretches, as float arrays."""
+    return [np.array(column, dtype=float) for column in zip(*stretches)]
+
+
 def segment(law, a, b, la, lb, slope):
     """The segment integral of one stretch, as a batch of one."""
-    return law.segment_integrals((a,), (b,), (la,), (lb,), (slope,))[0]
+    return law.segment_integrals(*columns((a, b, la, lb, slope))).tolist()[0]
 
 
 # -- schedules -------------------------------------------------------------
@@ -68,6 +74,13 @@ class TestChangePointLaw:
         assert law.sf(1.0) == pytest.approx(math.exp(-2.0))
         assert law.ppf(law.cdf(0.7)) == pytest.approx(0.7)
 
+    def test_exponential_sf_keeps_the_tail(self):
+        # 1 - cdf read 0.0 at 40, and was 2e-8 off in relative terms at 20
+        law = ChangePointLaw.exponential(1.0)
+        assert law.sf(40.0) == pytest.approx(math.exp(-40.0), rel=1e-15)
+        assert law.sf(20.0) == pytest.approx(math.exp(-20.0), rel=1e-15)
+        assert law.sf(0.0) == law.sf(-1.0) == 1.0
+
     def test_weibull_matches_exponential_at_shape_one(self):
         w = ChangePointLaw.weibull(1.0, 0.5)
         e = ChangePointLaw.exponential(2.0)
@@ -105,7 +118,8 @@ class TestChangePointLaw:
         # in a batch, as for the closed-form laws
         w = ChangePointLaw.weibull(1.5, 1.0)
         assert segment(w, 0.5, 1.0, -math.inf, -math.inf, 1.0) == -math.inf
-        got = w.segment_integrals((0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (-1.0, -math.inf, -2.0), (0.0,) * 3, (1.0,) * 3)
+        stretches = (0.0, 0.5, -1.0, 0.0, 1.0), (0.5, 1.0, -math.inf, 0.0, 1.0), (1.0, 2.0, -2.0, 0.0, 1.0)
+        got = w.segment_integrals(*columns(*stretches)).tolist()
         assert got[1] == -math.inf
         assert got[::2] == [segment(w, 0.0, 0.5, -1.0, 0.0, 1.0), segment(w, 1.0, 2.0, -2.0, 0.0, 1.0)]
 
@@ -315,8 +329,9 @@ def test_weibull_batch_rows_do_not_depend_on_the_batch(shape):
     # the same rounds, and their totals must stay where they are
     a, b, la, slope = zip(*batch_stretches(3))
     law = ChangePointLaw.weibull(shape, 3.0)
-    together = law.segment_integrals(a, b, la, la, slope)
-    alone = [segment(law, *row) for row in zip(a, b, la, la, slope)]
+    rows = list(zip(a, b, la, la, slope))
+    together = law.segment_integrals(*columns(*rows)).tolist()
+    alone = [segment(law, *row) for row in rows]
     assert together == alone
 
 
@@ -336,7 +351,7 @@ def test_weibull_batch_rows_do_not_depend_on_the_laws_of_the_batch():
     runs = [(*law, len(list(run))) for law, run in itertools.groupby(law for law, _ in rows)]
     assert 30 < len(runs) < len(rows)
     a, b, la, slope = zip(*(row for _, row in rows))
-    together = _weibull.segment_integrals(runs, a, b, la, slope)
+    together = _weibull.segment_integrals(runs, a, b, la, slope).tolist()
     alone = [segment(ChangePointLaw.weibull(*law), a_i, b_i, la_i, la_i, slope_i)
              for law, (a_i, b_i, la_i, slope_i) in rows]
     assert together == alone
@@ -385,6 +400,11 @@ CONTINUOUS_LAWS = [ChangePointLaw.exponential(0.7), ChangePointLaw.weibull(1.5, 
                    ChangePointLaw.point_mass(2.0), ChangePointLaw.table([(1.0, 0.25), (3.0, 1.0)])]
 
 
+def passes_errstate():
+    """The ``np.errstate`` that both forward passes put around a law's numpy."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 @pytest.mark.parametrize("law", CONTINUOUS_LAWS, ids=lambda law: law.family)
 @pytest.mark.filterwarnings("error")
 def test_segment_integrals_empty_or_unlikely_stretch_is_minus_inf(law):
@@ -392,10 +412,53 @@ def test_segment_integrals_empty_or_unlikely_stretch_is_minus_inf(law):
     # likelihood at its start carry no mass, alone and among others
     empty, unlikely = (2.0, 2.0, -1.0, -0.5, 1.0), (1.0, 2.0, -math.inf, -0.5, 1.0)
     plain = (0.5, 2.5, -1.0, 1.0, 1.0)
-    assert segment(law, *empty) == segment(law, *unlikely) == -math.inf
-    together = law.segment_integrals(*zip(empty, plain, unlikely))
-    assert together == [-math.inf, segment(law, *plain), -math.inf]
+    with passes_errstate():
+        assert segment(law, *empty) == segment(law, *unlikely) == -math.inf
+        together = law.segment_integrals(*columns(empty, plain, unlikely)).tolist()
+        assert together == [-math.inf, segment(law, *plain), -math.inf]
     assert together[1] > -math.inf
+
+
+def loop_integrals(law, stretches):
+    """The integrals that the loop pass takes for the stretches: the law's
+    ``_segment`` on each, or one batch of the weibull rule."""
+    if law.family == "weibull":
+        from cpb import _weibull
+
+        a, b, la, _, slope = zip(*stretches)
+        return _weibull.segment_integrals([(law.shape, law.scale, len(a))], a, b, la, slope).tolist()
+    return [law._segment(*stretch) for stretch in stretches]
+
+
+def test_continuous_laws_cover_every_continuous_family():
+    assert sorted(law.family for law in CONTINUOUS_LAWS) == sorted(
+        family for family, cls in LAWS.items() if cls.kind == "continuous")
+    # the base class only refuses: it writes neither stretch method
+    assert ChangePointLaw.__dict__["segment_integrals"] is ChangePointLaw.__dict__["_other_kind"]
+    assert ChangePointLaw.__dict__["_segment"] is ChangePointLaw.__dict__["_other_kind"]
+    with pytest.raises(ValueError, match="discrete law"):
+        ChangePointLaw.discrete_hazard([0.1]).segment_integrals(*columns((0.0, 1.0, 0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("law", CONTINUOUS_LAWS, ids=lambda law: law.family)
+@pytest.mark.filterwarnings("error")
+def test_segment_integrals_on_columns_match_the_loop(law):
+    # each family writes its own columns method, which gives a float array
+    # that agrees with the loop pass stretch by stretch: within the
+    # rounding of numpy's logs, and -inf exactly where the loop's is.  The
+    # stretches: a first one, an empty one, one with la = -inf, one that
+    # ends at the point mass, one across the table's last knot and a
+    # falling one past it
+    assert "segment_integrals" in type(law).__dict__
+    stretches = [(0.0, 0.5, -1.0, -0.6, 0.8), (0.5, 0.5, -0.6, -0.6, 0.8), (0.5, 1.5, -math.inf, -0.5, 1.0),
+                 (1.5, 2.0, -2.0, -1.5, 1.0), (2.0, 3.5, -1.0, -1.75, -0.5), (3.5, 9.0, -1.5, -12.5, -2.0)]
+    with passes_errstate():
+        got = law.segment_integrals(*columns(*stretches))
+        want = loop_integrals(law, stretches)
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == (len(stretches),)
+    assert [value == -math.inf for value in got.tolist()] == [value == -math.inf for value in want]
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert any(value > -math.inf for value in want)
 
 
 class TestHistories:
